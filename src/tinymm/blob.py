@@ -124,7 +124,7 @@ def read_blob(path) -> dict[str, Record]:
         try:
             (name_len,) = struct.unpack_from("<I", raw, pos)
             pos += 4
-            name = raw[pos : pos + name_len].decode("utf-8")
+            name = raw[pos : pos + name_len].decode("utf-8")  # before the CRC check
             pos += name_len
             tag, rank = struct.unpack_from("<BB", raw, pos)
             pos += 2
@@ -140,6 +140,8 @@ def read_blob(path) -> dict[str, Record]:
             pos += 4
         except struct.error as exc:
             raise ParseError(f"{path}: truncated blob") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: record name is not UTF-8") from exc
         if zlib.crc32(raw[start : pos - 4]) & 0xFFFFFFFF != crc:
             raise ChecksumMismatchError(f"{path}: CRC mismatch in record {name!r}")
         if tag not in _NAMES:

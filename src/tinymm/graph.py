@@ -132,9 +132,10 @@ def _parse_layer(doc: dict) -> LayerSpec:
     if len(inputs) != 1:
         raise ParseError(f"layer {name!r} must have exactly one input")
     if kind in WEIGHTED_KINDS:
-        spec.bit_policy = doc.get("bits", "allocator")
-        if spec.bit_policy not in ("allocator", 4, 8):
+        policy = doc.get("bits", "allocator")
+        if policy not in ("allocator", 4, 8):
             raise ParseError(f"layer {name!r}: bits must be 4, 8 or \"allocator\"")
+        spec.bit_policy = policy if policy == "allocator" else int(policy)  # 8.0 pins 8
     if kind == "maxpool":
         try:
             spec.pool = K.PoolSpec(int(doc["pool_size"]))
@@ -471,6 +472,14 @@ def cost_report(graph: ModelGraph) -> CostReport:
 
 # -- float execution ----------------------------------------------------------
 
+def _map_branches(run, chains, parallel: bool) -> list:
+    """run(chain) per input branch, in order; two threads give identical results."""
+    if not parallel:
+        return [run(chain) for chain in chains]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(run, chains))
+
+
 def _eval_float(
     graph: ModelGraph,
     layer: LayerSpec,
@@ -523,15 +532,9 @@ def _run_float(
         starts[name] = inputs[name]
         if record is not None:
             record.setdefault(name, CalibrationStats()).update(inputs[name].data)
-    ca, cb = graph.branch_chains
-    if parallel and record is None:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fa = pool.submit(_run_branch_float, graph, ca, starts[ca[0]], None)
-            fb = pool.submit(_run_branch_float, graph, cb, starts[cb[0]], None)
-            va, vb = fa.result(), fb.result()
-    else:
-        va = _run_branch_float(graph, ca, starts[ca[0]], record)
-        vb = _run_branch_float(graph, cb, starts[cb[0]], record)
+    va, vb = _map_branches(  # calibration records stats, so it runs sequentially
+        lambda c: _run_branch_float(graph, c, starts[c[0]], record),
+        graph.branch_chains, parallel and record is None)
     value = concat_last_axis(va, vb)
     if record is not None:
         record.setdefault(graph.concat_name, CalibrationStats()).update(value.data)
@@ -701,15 +704,8 @@ def _run_quantized(
     inputs: dict[str, Tensor],
     parallel: bool = False,
 ) -> Tensor:
-    ca, cb = graph.branch_chains
-    if parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fa = pool.submit(_run_branch_int, graph, plan, ca, inputs[ca[0]])
-            fb = pool.submit(_run_branch_int, graph, plan, cb, inputs[cb[0]])
-            qa, qb = fa.result(), fb.result()
-    else:
-        qa = _run_branch_int(graph, plan, ca, inputs[ca[0]])
-        qb = _run_branch_int(graph, plan, cb, inputs[cb[0]])
+    qa, qb = _map_branches(
+        lambda c: _run_branch_int(graph, plan, c, inputs[c[0]]), graph.branch_chains, parallel)
     qa = ik.requantize_tensor(qa, plan.concat_params)
     qb = ik.requantize_tensor(qb, plan.concat_params)
     q = QuantTensor(np.concatenate([qa.qdata, qb.qdata]), plan.concat_params)

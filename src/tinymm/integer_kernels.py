@@ -1,27 +1,38 @@
-"""Integer inference kernels.
+"""Integer inference kernels: offset, shared contraction, requantize.
 
-Inputs and weights share one bit width per layer. Products of
-(q_in - zp_in) with symmetric weights accumulate exactly in 32-bit
-integers (layer geometry is checked up front so overflow cannot occur),
-then each accumulator is requantized: multiplied by
-(s_in * s_w / s_out) in double precision, rounded half-to-even, shifted
-by the output zero point and clamped. Biases are 32-bit integers at
-scale s_in * s_w, added before requantization.
+Inputs and weights share one bit width per layer. Each kernel subtracts
+the input zero point (weights are symmetric, zero point 0), runs the same
+private contraction core in `kernels` as its float twin on those offset
+integers held in float64, adds the 32-bit integer bias (at scale
+s_in * s_w) and requantizes every accumulator: multiplied by
+(s_in * s_w / s_out) in double precision, rounded half-to-even, shifted by
+the output zero point and clamped.
+
+The float64 contraction is exact integer arithmetic. `check_accumulator`
+rejects any layer whose worst-case |acc + bias| could reach 2^31, and every
+partial sum, in whatever order BLAS or einsum adds the products, is bounded
+by the sum of the absolute products. So every intermediate value is an
+integer below 2^31 < 2^53, which float64 represents exactly, and the result
+equals an int32 accumulation bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    AccumulatorOverflowError,
-    InputTooSmallError,
-    InvalidShapeError,
-    PrecisionMismatchError,
-    RankMismatchError,
-    ShapeMismatchError,
+from .errors import AccumulatorOverflowError, PrecisionMismatchError
+from .kernels import (
+    ConvSpec,
+    PoolSpec,
+    _check_conv,
+    _check_dense,
+    _check_pointwise,
+    _check_pool,
+    _conv_core,
+    _dense_core,
+    _depthwise_core,
+    _maxpool_core,
+    _pointwise_core,
 )
-from .kernels import SAME, ConvSpec, PoolSpec
 from .tensor import QuantParams, QuantTensor, Tensor
 
 ACC_LIMIT = (1 << 31) - 1
@@ -48,7 +59,7 @@ def _requantize_acc(
     acc: np.ndarray, in_scale: float, w_scale: float, out: QuantParams
 ) -> np.ndarray:
     multiplier = (in_scale * w_scale) / out.scale
-    q = np.round(acc.astype(np.float64) * multiplier) + out.zero_point
+    q = np.round(acc * multiplier) + out.zero_point
     return np.clip(q, out.qmin, out.qmax).astype(np.int32)
 
 
@@ -67,24 +78,19 @@ def _check_bits(inp: QuantTensor, weights: QuantTensor) -> None:
         )
 
 
-def _int_windows(arr: np.ndarray, d_k: int, stride: int) -> np.ndarray:
-    win = sliding_window_view(arr, (d_k, d_k), axis=(0, 1))
-    return np.moveaxis(win[::stride, ::stride], 2, -1)
+def _offset(inp: QuantTensor) -> np.ndarray:
+    """Payload minus zero point as float64: real 0 becomes exactly 0."""
+    return inp.qdata.astype(np.float64) - inp.params.zero_point
 
 
-def _prepare_spatial(inp: QuantTensor, d_k: int, spec: ConvSpec) -> np.ndarray:
-    if inp.rank != 3:
-        raise RankMismatchError(f"expected rank-3 input, got {inp.shape}")
-    x = inp.qdata.astype(np.int64) - inp.params.zero_point
-    if spec.padding == SAME:
-        if spec.stride != 1:
-            raise InvalidShapeError("same padding is only supported for stride 1")
-        lo = (d_k - 1) // 2
-        hi = d_k - 1 - lo
-        x = np.pad(x, ((lo, hi), (lo, hi), (0, 0)))  # zero = real 0 after offset
-    elif inp.shape[0] < d_k or inp.shape[1] < d_k:
-        raise ShapeMismatchError(f"kernel {d_k} exceeds input extent {inp.shape[:2]}")
-    return x
+def _finish(acc, bias, inp: QuantTensor, weights: QuantTensor, out_params: QuantParams):
+    """Add the integer bias (None for none) and requantize to out_params."""
+    if bias is not None:
+        acc += np.asarray(bias, dtype=np.float64)
+    return QuantTensor(
+        _requantize_acc(acc, inp.params.scale, weights.params.scale, out_params),
+        out_params,
+    )
 
 
 def conv2d_int(
@@ -96,20 +102,10 @@ def conv2d_int(
 ) -> QuantTensor:
     """Integer traditional convolution with fused bias and requantization."""
     _check_bits(inp, weights)
-    d_k, m, n = spec.kernel_size, spec.in_channels, spec.out_channels
-    if weights.shape != (d_k, d_k, m, n):
-        raise ShapeMismatchError(f"weights {weights.shape} != {(d_k, d_k, m, n)}")
-    if inp.shape[2] != m:
-        raise ShapeMismatchError(f"input channels {inp.shape[2]} != {m}")
-    check_accumulator(d_k * d_k * m, inp.params.bits)
-    x = _prepare_spatial(inp, d_k, spec)
-    win = _int_windows(x, d_k, spec.stride)
-    acc = np.einsum("xyijm,ijmn->xyn", win, weights.qdata.astype(np.int64))
-    acc += np.asarray(bias, dtype=np.int64)
-    return QuantTensor(
-        _requantize_acc(acc, inp.params.scale, weights.params.scale, out_params),
-        out_params,
-    )
+    _check_conv(inp, weights.shape, np.shape(bias), spec, "conv2d_int")
+    check_accumulator(spec.kernel_size ** 2 * spec.in_channels, inp.params.bits)
+    acc = _conv_core(_offset(inp), weights.qdata.astype(np.float64), spec)
+    return _finish(acc, bias, inp, weights, out_params)
 
 
 def depthwise_conv2d_int(
@@ -120,19 +116,10 @@ def depthwise_conv2d_int(
 ) -> QuantTensor:
     """Integer per-channel stage; output requantized to mid_params."""
     _check_bits(inp, dw_weights)
-    d_k, m = spec.kernel_size, spec.in_channels
-    if dw_weights.shape != (d_k, d_k, m):
-        raise ShapeMismatchError(f"depthwise weights {dw_weights.shape} != {(d_k, d_k, m)}")
-    if inp.shape[2] != m:
-        raise ShapeMismatchError(f"input channels {inp.shape[2]} != {m}")
-    check_accumulator(d_k * d_k, inp.params.bits)
-    x = _prepare_spatial(inp, d_k, spec)
-    win = _int_windows(x, d_k, spec.stride)
-    acc = np.einsum("xyijm,ijm->xym", win, dw_weights.qdata.astype(np.int64))
-    return QuantTensor(
-        _requantize_acc(acc, inp.params.scale, dw_weights.params.scale, mid_params),
-        mid_params,
-    )
+    _check_conv(inp, dw_weights.shape, None, spec, "depthwise_conv2d_int")
+    check_accumulator(spec.kernel_size ** 2, inp.params.bits)
+    acc = _depthwise_core(_offset(inp), dw_weights.qdata.astype(np.float64), spec)
+    return _finish(acc, None, inp, dw_weights, mid_params)
 
 
 def pointwise_conv2d_int(
@@ -143,21 +130,10 @@ def pointwise_conv2d_int(
 ) -> QuantTensor:
     """Integer 1x1 channel mixing with fused bias and requantization."""
     _check_bits(inp, pw_weights)
-    if inp.rank != 3:
-        raise RankMismatchError(f"expected rank-3 input, got {inp.shape}")
-    if pw_weights.rank != 4 or pw_weights.shape[:2] != (1, 1):
-        raise ShapeMismatchError(f"pointwise weights must be (1, 1, M, N), got {pw_weights.shape}")
-    m, n = pw_weights.shape[2], pw_weights.shape[3]
-    if inp.shape[2] != m:
-        raise ShapeMismatchError(f"input channels {inp.shape[2]} != {m}")
-    check_accumulator(m, inp.params.bits)
-    x = inp.qdata.astype(np.int64) - inp.params.zero_point
-    acc = np.einsum("xym,mn->xyn", x, pw_weights.qdata.reshape(m, n).astype(np.int64))
-    acc += np.asarray(bias, dtype=np.int64)
-    return QuantTensor(
-        _requantize_acc(acc, inp.params.scale, pw_weights.params.scale, out_params),
-        out_params,
-    )
+    _check_pointwise(inp, pw_weights.shape, np.shape(bias), "pointwise_conv2d_int")
+    check_accumulator(pw_weights.shape[2], inp.params.bits)
+    acc = _pointwise_core(_offset(inp), pw_weights.qdata.astype(np.float64))
+    return _finish(acc, bias, inp, pw_weights, out_params)
 
 
 def depthwise_separable_conv2d_int(
@@ -187,18 +163,10 @@ def dense_int(
 ) -> QuantTensor:
     """Integer fully connected layer."""
     _check_bits(inp, weights)
-    if inp.rank != 1:
-        raise RankMismatchError(f"dense_int expects a rank-1 input, got {inp.shape}")
-    if weights.rank != 2 or weights.shape[0] != inp.shape[0]:
-        raise ShapeMismatchError(f"weights {weights.shape} incompatible with {inp.shape}")
+    _check_dense(inp, weights.shape, np.shape(bias), "dense_int")
     check_accumulator(inp.shape[0], inp.params.bits)
-    x = inp.qdata.astype(np.int64) - inp.params.zero_point
-    acc = x @ weights.qdata.astype(np.int64)
-    acc += np.asarray(bias, dtype=np.int64)
-    return QuantTensor(
-        _requantize_acc(acc, inp.params.scale, weights.params.scale, out_params),
-        out_params,
-    )
+    acc = _dense_core(_offset(inp), weights.qdata.astype(np.float64))
+    return _finish(acc, bias, inp, weights, out_params)
 
 
 def relu_int(inp: QuantTensor) -> QuantTensor:
@@ -208,16 +176,8 @@ def relu_int(inp: QuantTensor) -> QuantTensor:
 
 def maxpool2d_int(inp: QuantTensor, spec: PoolSpec) -> QuantTensor:
     """Window max directly on the integer payload."""
-    if inp.rank != 3:
-        raise RankMismatchError(f"maxpool2d_int expects rank-3 input, got {inp.shape}")
-    p = spec.pool_size
-    h, w, c = inp.shape
-    if h < p or w < p:
-        raise InputTooSmallError(f"input {inp.shape[:2]} smaller than pool {p}")
-    hp, wp = h // p, w // p
-    x = inp.qdata[: hp * p, : wp * p, :]
-    out = x.reshape(hp, p, wp, p, c).max(axis=(1, 3))
-    return QuantTensor(out, inp.params)
+    _check_pool(inp, spec, "maxpool2d_int")
+    return QuantTensor(_maxpool_core(inp.qdata, spec.pool_size), inp.params)
 
 
 def flatten_int(inp: QuantTensor) -> QuantTensor:

@@ -1,8 +1,12 @@
-"""Floating-point reference kernels for every supported layer type.
+"""Floating-point kernels for every layer type, and the core they share.
 
-All spatial kernels take channels-last inputs (H, W, C). Accumulation runs
-in float64 and results are stored as float32. Kernels are pure functions of
-immutable tensors, so independent layer invocations may run concurrently.
+All spatial kernels take channels-last inputs (H, W, C). The private core
+is one geometry check per kernel kind (`_check_*`), the zero-padded window
+view (`_windows`), float64 contractions (`_*_core`: im2col + GEMM for
+convolution, GEMM for pointwise and dense, einsum for depthwise) and the
+max-pool body. Float kernels here and integer kernels in `integer_kernels`
+wrap it; float results are stored as float32. Kernels are pure functions
+of immutable tensors, so independent layer invocations may run concurrently.
 """
 from __future__ import annotations
 
@@ -87,94 +91,127 @@ def conv_output_dim(d_f: int, d_k: int, stride: int, padding: str) -> int:
     return (d_f - d_k) // stride + 1
 
 
-def _pad_same(arr: np.ndarray, d_k: int, fill: float = 0.0) -> np.ndarray:
-    lo = (d_k - 1) // 2
-    hi = d_k - 1 - lo
-    return np.pad(
-        arr, ((lo, hi), (lo, hi), (0, 0)), mode="constant", constant_values=fill
-    )
+def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """(H', W', Dk, Dk, C) view of every kernel placement, zero-padded if SAME."""
+    d_k = spec.kernel_size
+    if spec.padding == SAME:
+        lo, hi = (d_k - 1) // 2, d_k // 2
+        x = np.pad(x, ((lo, hi), (lo, hi), (0, 0)))
+    win = sliding_window_view(x, (d_k, d_k), axis=(0, 1))  # (H', W', C, Dk, Dk)
+    return np.moveaxis(win[:: spec.stride, :: spec.stride], 2, -1)
 
 
-def _check_rank3(t: Tensor, who: str) -> None:
-    if t.rank != 3:
-        raise RankMismatchError(f"{who} expects a rank-3 (H, W, C) input, got {t.shape}")
+# -- geometry checks, one per kernel kind --------------------------------------
+# `inp` is a Tensor or a QuantTensor; only its shape is read.
+
+def _check_rank3(inp, who: str) -> None:
+    if len(inp.shape) != 3:
+        raise RankMismatchError(f"{who} expects a rank-3 (H, W, C) input, got {inp.shape}")
 
 
-def _windows(arr: np.ndarray, d_k: int, stride: int) -> np.ndarray:
-    # (H', W', d_k, d_k, C) view of every kernel placement
-    win = sliding_window_view(arr, (d_k, d_k), axis=(0, 1))  # (H', W', C, dk, dk)
-    win = win[::stride, ::stride]
-    return np.moveaxis(win, 2, -1)
+def _check_bias(bias_shape: tuple, n: int) -> None:
+    if tuple(bias_shape) != (n,):
+        raise ShapeMismatchError(f"bias {tuple(bias_shape)} != ({n},)")
 
 
-def conv2d_fp(inp: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
-    """Standard cross-correlation: (H, W, M) x (Dk, Dk, M, N) -> (H', W', N)."""
-    _check_rank3(inp, "conv2d_fp")
+def _check_conv(inp, w_shape: tuple, bias_shape: tuple | None, spec: ConvSpec, who: str) -> None:
+    """Traditional conv geometry; bias_shape None means a depthwise stage,
+    whose weights are (Dk, Dk, M) and which has no bias."""
+    _check_rank3(inp, who)
     d_k, m, n = spec.kernel_size, spec.in_channels, spec.out_channels
-    if weights.shape != (d_k, d_k, m, n):
-        raise ShapeMismatchError(
-            f"weights {weights.shape} != expected {(d_k, d_k, m, n)}"
-        )
-    if bias.shape != (n,):
-        raise ShapeMismatchError(f"bias {bias.shape} != ({n},)")
+    want = (d_k, d_k, m) if bias_shape is None else (d_k, d_k, m, n)
+    if w_shape != want:
+        raise ShapeMismatchError(f"weights {w_shape} != expected {want}")
+    if bias_shape is not None:
+        _check_bias(bias_shape, n)
     if inp.shape[2] != m:
         raise ShapeMismatchError(f"input has {inp.shape[2]} channels, spec says {m}")
-
-    x = inp.data.astype(np.float64)
     if spec.padding == SAME:
         if spec.stride != 1:
             raise InvalidShapeError("same padding is only supported for stride 1")
-        x = _pad_same(x, d_k)
     elif inp.shape[0] < d_k or inp.shape[1] < d_k:
-        raise KernelTooLargeError(
-            f"kernel {d_k} exceeds input extent {inp.shape[:2]}"
-        )
-    win = _windows(x, d_k, spec.stride)  # (H', W', Dk, Dk, M)
-    out = np.einsum("xyijm,ijmn->xyn", win, weights.data.astype(np.float64))
+        raise KernelTooLargeError(f"kernel {d_k} exceeds input extent {inp.shape[:2]}")
+
+
+def _check_pointwise(inp, w_shape: tuple, bias_shape: tuple, who: str) -> None:
+    _check_rank3(inp, who)
+    if len(w_shape) != 4 or w_shape[:2] != (1, 1):
+        raise ShapeMismatchError(f"pointwise weights must be (1, 1, M, N), got {w_shape}")
+    if inp.shape[2] != w_shape[2]:
+        raise ShapeMismatchError(f"input has {inp.shape[2]} channels, weights expect {w_shape[2]}")
+    _check_bias(bias_shape, w_shape[3])
+
+
+def _check_dense(inp, w_shape: tuple, bias_shape: tuple, who: str) -> None:
+    if len(inp.shape) != 1:
+        raise RankMismatchError(f"{who} expects a rank-1 input, got {inp.shape}")
+    if len(w_shape) != 2 or w_shape[0] != inp.shape[0]:
+        raise ShapeMismatchError(f"weights {w_shape} incompatible with input {inp.shape}")
+    _check_bias(bias_shape, w_shape[1])
+
+
+def _check_pool(inp, spec: PoolSpec, who: str) -> None:
+    _check_rank3(inp, who)
+    p = spec.pool_size
+    if inp.shape[0] < p or inp.shape[1] < p:
+        raise InputTooSmallError(f"input {inp.shape[:2]} smaller than pool {p}")
+
+
+# -- contraction core on float64 operands ---------------------------------------
+# Shared by the float kernels here and the integer kernels, which pass
+# zero-point-offset integers; callers have already checked the geometry.
+
+def _conv_core(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """(H, W, M) x (Dk, Dk, M, N) -> (H', W', N) as im2col then one GEMM."""
+    win = _windows(x, spec)
+    h, wd = win.shape[:2]
+    cols = win.reshape(h * wd, -1)  # copies: the im2col matrix
+    return (cols @ w.reshape(cols.shape[1], -1)).reshape(h, wd, -1)
+
+
+def _depthwise_core(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """(H, W, M) x (Dk, Dk, M) -> (H', W', M), one filter per channel."""
+    return np.einsum("xyijm,ijm->xym", _windows(x, spec), w)
+
+
+def _pointwise_core(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(H, W, M) x (1, 1, M, N) -> (H, W, N) as one GEMM."""
+    h, wd, m = x.shape
+    return (x.reshape(h * wd, m) @ w.reshape(m, -1)).reshape(h, wd, -1)
+
+
+def _dense_core(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return x @ w
+
+
+def _maxpool_core(x: np.ndarray, p: int) -> np.ndarray:
+    """Per-channel max over p x p windows of any dtype; remainder dropped."""
+    h, w, c = x.shape
+    hp, wp = h // p, w // p
+    return x[: hp * p, : wp * p, :].reshape(hp, p, wp, p, c).max(axis=(1, 3))
+
+
+# -- float kernels ---------------------------------------------------------------
+
+def conv2d_fp(inp: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
+    """Standard cross-correlation: (H, W, M) x (Dk, Dk, M, N) -> (H', W', N)."""
+    _check_conv(inp, weights.shape, bias.shape, spec, "conv2d_fp")
+    out = _conv_core(inp.data.astype(np.float64), weights.data.astype(np.float64), spec)
     out += bias.data.astype(np.float64)
     return Tensor(out.astype(np.float32))
 
 
 def depthwise_conv2d_fp(inp: Tensor, dw_weights: Tensor, spec: ConvSpec) -> Tensor:
     """Per-channel spatial stage of a separable convolution; no bias."""
-    _check_rank3(inp, "depthwise_conv2d_fp")
-    d_k, m = spec.kernel_size, spec.in_channels
-    if dw_weights.shape != (d_k, d_k, m):
-        raise ShapeMismatchError(
-            f"depthwise weights {dw_weights.shape} != expected {(d_k, d_k, m)}"
-        )
-    if inp.shape[2] != m:
-        raise ShapeMismatchError(f"input has {inp.shape[2]} channels, spec says {m}")
-
-    x = inp.data.astype(np.float64)
-    if spec.padding == SAME:
-        if spec.stride != 1:
-            raise InvalidShapeError("same padding is only supported for stride 1")
-        x = _pad_same(x, d_k)
-    elif inp.shape[0] < d_k or inp.shape[1] < d_k:
-        raise KernelTooLargeError(
-            f"kernel {d_k} exceeds input extent {inp.shape[:2]}"
-        )
-    win = _windows(x, d_k, spec.stride)  # (H', W', Dk, Dk, M)
-    out = np.einsum("xyijm,ijm->xym", win, dw_weights.data.astype(np.float64))
+    _check_conv(inp, dw_weights.shape, None, spec, "depthwise_conv2d_fp")
+    out = _depthwise_core(inp.data.astype(np.float64), dw_weights.data.astype(np.float64), spec)
     return Tensor(out.astype(np.float32))
 
 
 def pointwise_conv2d_fp(inp: Tensor, pw_weights: Tensor, bias: Tensor) -> Tensor:
     """1x1 channel-mixing stage: (H, W, M) x (1, 1, M, N) -> (H, W, N)."""
-    _check_rank3(inp, "pointwise_conv2d_fp")
-    if pw_weights.rank != 4 or pw_weights.shape[:2] != (1, 1):
-        raise ShapeMismatchError(f"pointwise weights must be (1, 1, M, N), got {pw_weights.shape}")
-    m, n = pw_weights.shape[2], pw_weights.shape[3]
-    if inp.shape[2] != m:
-        raise ShapeMismatchError(f"input has {inp.shape[2]} channels, weights expect {m}")
-    if bias.shape != (n,):
-        raise ShapeMismatchError(f"bias {bias.shape} != ({n},)")
-    out = np.einsum(
-        "xym,mn->xyn",
-        inp.data.astype(np.float64),
-        pw_weights.data.reshape(m, n).astype(np.float64),
-    )
+    _check_pointwise(inp, pw_weights.shape, bias.shape, "pointwise_conv2d_fp")
+    out = _pointwise_core(inp.data.astype(np.float64), pw_weights.data.astype(np.float64))
     out += bias.data.astype(np.float64)
     return Tensor(out.astype(np.float32))
 
@@ -189,30 +226,14 @@ def depthwise_separable_conv2d_fp(
 
 def maxpool2d(inp: Tensor, spec: PoolSpec) -> Tensor:
     """Per-channel max over p x p windows; trailing remainder dropped."""
-    _check_rank3(inp, "maxpool2d")
-    p = spec.pool_size
-    h, w, c = inp.shape
-    if h < p or w < p:
-        raise InputTooSmallError(f"input {inp.shape[:2]} smaller than pool {p}")
-    hp, wp = h // p, w // p
-    x = inp.data[: hp * p, : wp * p, :]
-    out = x.reshape(hp, p, wp, p, c).max(axis=(1, 3))
-    return Tensor(out)
+    _check_pool(inp, spec, "maxpool2d")
+    return Tensor(_maxpool_core(inp.data, spec.pool_size))
 
 
 def dense_fp(inp: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Fully connected layer: out[j] = sum_k in[k] * w[k, j] + b[j]."""
-    if inp.rank != 1:
-        raise RankMismatchError(f"dense_fp expects a rank-1 input, got {inp.shape}")
-    if weights.rank != 2 or weights.shape[0] != inp.shape[0]:
-        raise ShapeMismatchError(
-            f"weights {weights.shape} incompatible with input {inp.shape}"
-        )
-    if bias.shape != (weights.shape[1],):
-        raise ShapeMismatchError(f"bias {bias.shape} != ({weights.shape[1]},)")
-    out = np.einsum(
-        "k,kl->l", inp.data.astype(np.float64), weights.data.astype(np.float64)
-    )
+    _check_dense(inp, weights.shape, bias.shape, "dense_fp")
+    out = _dense_core(inp.data.astype(np.float64), weights.data.astype(np.float64))
     out += bias.data.astype(np.float64)
     return Tensor(out.astype(np.float32))
 

@@ -12,7 +12,7 @@ from tinymm.blob import (
     unpack_i4,
     write_blob,
 )
-from tinymm.errors import ChecksumMismatchError, ParseError
+from tinymm.errors import ChecksumMismatchError, ParseError, TinymmError
 
 
 def test_i4_packing_low_nibble_first():
@@ -81,3 +81,36 @@ def test_blob_bad_magic_and_truncation(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-6])
     with pytest.raises(ParseError):
         read_blob(trunc)
+
+
+def _small_blob(path):
+    write_blob(path, [
+        Record("a.w", DTYPE_F32, (2, 2), np.arange(4, dtype=np.float32)),
+        Record("b.q", DTYPE_I8, (3,), np.array([-128, 0, 127], dtype=np.int32)),
+        Record("c.q", DTYPE_I4, (3,), np.array([-8, 1, 7], dtype=np.int32)),
+    ])
+    return path.read_bytes()
+
+
+def test_blob_non_utf8_record_name_is_parse_error(tmp_path):
+    raw = bytearray(_small_blob(tmp_path / "w.tmmw"))
+    raw[16] = 0xFF  # first byte of the first record's name
+    bad = tmp_path / "bad.tmmw"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ParseError):
+        read_blob(bad)
+
+
+def test_blob_byte_mutations_fail_typed(tmp_path):
+    raw = _small_blob(tmp_path / "w.tmmw")
+    rng = np.random.default_rng(0)
+    bad = tmp_path / "bad.tmmw"
+    for _ in range(400):
+        mutated = bytearray(raw)
+        for pos in rng.integers(0, len(raw), size=int(rng.integers(1, 4))):
+            mutated[pos] = int(rng.integers(0, 256))
+        bad.write_bytes(bytes(mutated))
+        try:
+            read_blob(bad)
+        except TinymmError:
+            pass  # any other exception type fails the test

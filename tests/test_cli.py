@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from tinymm.audio import AudioClip, save_wav
-from tinymm.blob import read_blob
+from tinymm.blob import read_blob, write_blob
 from tinymm.cli import main
 from tinymm.costs import model_size_bits
 from tinymm.graph import cost_report
 from tinymm.image import save_ppm
-from tinymm.reference_models import build_reference
+from tinymm.reference_models import build_reference, reference_config, reference_weight_records
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,25 @@ def test_allocate_boundary_budgets(tmp_path):
 
 def test_allocate_infeasible_exit_3():
     assert main(["allocate", "covid", "--size-budget", "1"]) == 3
+
+
+def test_allocate_honours_float_valued_pins(tmp_path):
+    # every weighted layer pinned at 8.0: only all-8-bit is allowed
+    config = reference_config("battlefield")
+    for doc in config["layers"]:
+        if doc["kind"] in ("conv2d", "ds_conv2d", "dense"):
+            doc["bits"] = 8.0
+    cfg = tmp_path / "bf.json"
+    cfg.write_text(json.dumps(config))
+    blob = tmp_path / "bf.tmmw"
+    write_blob(blob, reference_weight_records("battlefield"))
+    report = cost_report(build_reference("battlefield"))
+    all8 = model_size_bits(report, {l.name: 8 for l in report.layers})
+    model = [str(cfg), "--weights", str(blob)]
+    assert main(["allocate", *model, "--size-budget", str(all8 - 1)]) == 3
+    out = tmp_path / "assn.json"
+    assert main(["allocate", *model, "--size-budget", str(all8), "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["bits"].values()) == {8}
 
 
 def test_allocate_bops_budget(tmp_path):

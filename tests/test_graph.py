@@ -124,12 +124,22 @@ def test_wrong_record_shape():
     lambda c: c["layers"].__setitem__(1, {"name": "a_conv", "kind": "conv2d",
                                           "inputs": ["a_in"], "kernel_size": 3}),
     lambda c: c["layers"].pop(),  # drop the softmax terminal
+    lambda c: c["layers"][1].update(bits=7.5),  # a_conv pinned to a non-integral width
 ])
 def test_config_validation_errors(mutate):
     config = tiny_config()
     mutate(config)
     with pytest.raises(ParseError):
         assemble_model(config, {r.name: r for r in tiny_records()})
+
+
+def test_integral_float_bit_pin_is_an_integer_pin():
+    # JSON writers may emit 8.0 for 8; the pin must still be honoured
+    config = tiny_config()
+    config["layers"][1]["bits"] = 8.0
+    graph = assemble_model(config, {r.name: r for r in tiny_records()})
+    policy = graph.layer("a_conv").bit_policy
+    assert policy == 8 and type(policy) is int
 
 
 def test_reference_config_is_valid_json_document():

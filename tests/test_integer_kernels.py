@@ -3,8 +3,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tinymm.errors import AccumulatorOverflowError, PrecisionMismatchError
+from tinymm.errors import (
+    AccumulatorOverflowError,
+    KernelTooLargeError,
+    PrecisionMismatchError,
+    RankMismatchError,
+)
 from tinymm.integer_kernels import (
+    ACC_LIMIT,
+    BIAS_LIMIT,
     check_accumulator,
     conv2d_int,
     dense_int,
@@ -72,6 +79,25 @@ def test_precision_mismatch_rejected():
     out_params = QuantParams(scale=0.1, zero_point=0, bits=8)
     with pytest.raises(PrecisionMismatchError):
         conv2d_int(q_in, q_w, np.zeros(2, dtype=np.int64), out_params, _spec(1, 2))
+
+
+def test_int_kernels_share_float_geometry_errors():
+    p = QuantParams(scale=0.1, zero_point=0, bits=8)
+
+    def q(shape):
+        return QuantTensor(np.zeros(shape, dtype=np.int32), p)
+
+    b = np.zeros(1, dtype=np.int64)
+    with pytest.raises(RankMismatchError):  # was an IndexError
+        conv2d_int(q((9,)), q((3, 3, 1, 1)), b, p, _spec(1, 1))
+    with pytest.raises(RankMismatchError):
+        depthwise_conv2d_int(q((9,)), q((3, 3, 1)), p, _spec(1, 1))
+    with pytest.raises(RankMismatchError):
+        pointwise_conv2d_int(q((9,)), q((1, 1, 1, 1)), b, p)
+    with pytest.raises(RankMismatchError):
+        maxpool2d_int(q((9,)), PoolSpec(2))
+    with pytest.raises(KernelTooLargeError):  # as conv2d_fp raises
+        conv2d_int(q((2, 5, 1)), q((3, 3, 1, 1)), b, p, _spec(1, 1))
 
 
 def test_accumulator_guard():
@@ -219,3 +245,63 @@ def test_depthwise_int_matches_sim():
     got = depthwise_conv2d_int(q_in, dw, mid_params, _spec(2, 2))
     want = oracles.depthwise_int_sim(q_in.qdata, q_in.params, dw.qdata, dw.params.scale, mid_params)
     assert np.array_equal(got.qdata, want)
+
+
+def _max_terms(bits):
+    """Largest term count check_accumulator admits at this width."""
+    per_term = ((1 << bits) - 1) * (1 << (bits - 1))
+    terms = (ACC_LIMIT - BIAS_LIMIT) // per_term
+    check_accumulator(terms, bits)
+    with pytest.raises(AccumulatorOverflowError):
+        check_accumulator(terms + 1, bits)
+    return terms
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("bits", [4, 8])
+def test_int_kernels_exact_at_accumulator_boundary(bits, odd):
+    """Worst-case products (input qmin, zero point qmax, weight qmin) over the
+    most terms check_accumulator admits, against an int64 accumulation.
+
+    With odd=True one weight is qmin + 1, which makes the accumulator odd:
+    near 2^30 that is not representable in float32, so only an exact
+    contraction gets it right.
+    """
+    qmin, qmax = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    terms = _max_terms(bits)
+    d_k = int(np.sqrt(terms)) | 1  # largest odd depthwise kernel that fits
+    while d_k * d_k > terms:
+        d_k -= 2
+    in_p = QuantParams(scale=1.0, zero_point=qmax, bits=bits)
+    w_p = QuantParams(scale=1.0, zero_point=0, bits=bits)
+
+    def operands(in_shape, w_shape):
+        w = np.full(w_shape, qmin, dtype=np.int32)
+        w.reshape(-1)[0] += odd
+        x = QuantTensor(np.full(in_shape, qmin, dtype=np.int32), in_p)
+        ref = int(np.sum((np.int64(qmin) - qmax) * w.astype(np.int64)))
+        return x, QuantTensor(w, w_p), ref
+
+    def want(acc, out_p):
+        return oracles.requant_scalar(
+            acc, 1.0, 1.0, out_p.scale, out_p.zero_point, out_p.qmin, out_p.qmax)
+
+    # |acc + bias| at its largest, scaled into the output range
+    big = QuantParams(scale=float(1 << (33 - bits)), zero_point=0, bits=bits)
+    unit = QuantParams(scale=1.0, zero_point=-1, bits=bits)
+    x, w, acc = operands((1, 1, terms), (1, 1, terms, 1))
+    runs = [
+        lambda b, p: conv2d_int(x, w, b, p, _spec(terms, 1, k=1)),
+        lambda b, p: pointwise_conv2d_int(x, w, b, p),
+        lambda b, p: dense_int(x.reshape((terms,)), w.reshape((terms, 1)), b, p),
+    ]
+    # bias at its bound, then a bias cancelling all but a residue of 5,
+    # so that every low bit of the accumulator reaches the output
+    for bias, out_p in [(BIAS_LIMIT, big), (5 - acc, unit)]:
+        for run in runs:
+            got = run(np.array([bias], dtype=np.int64), out_p)
+            assert got.qdata.reshape(()) == want(acc + bias, out_p)
+    # depthwise has no bias: d_k * d_k worst-case terms per channel
+    x, dw, dw_acc = operands((d_k, d_k, 1), (d_k, d_k, 1))
+    got = depthwise_conv2d_int(x, dw, big, _spec(1, 1, k=d_k))
+    assert got.qdata.reshape(()) == want(dw_acc, big)
