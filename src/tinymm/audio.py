@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ClipTooShortError,
@@ -26,6 +28,11 @@ from .errors import (
 from .tensor import Tensor
 
 LOG_FLOOR = 1e-10
+# Frames windowed and transformed per step of `mfcc`. At 2048-sample frames
+# a block's temporaries total about 0.5 MB, so they stay in cache and the
+# allocator reuses them; whole-clip temporaries are fresh multi-MB arrays
+# that are page-faulted in again on every call.
+FRAME_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,23 @@ def _hann(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(length) / length))
 
 
+@lru_cache(maxsize=16)
+def _mfcc_tables(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hann window, transposed mel bank and transposed DCT for one config.
+
+    Built once per (frozen, hashable) config and shared by every call, so
+    the arrays are read-only.
+    """
+    window = _hann(cfg.frame_length)
+    fb = mel_filterbank(
+        cfg.num_mel_filters, cfg.frame_length, cfg.sample_rate, cfg.fmin, cfg.effective_fmax
+    )
+    dct = dct_matrix(cfg.num_coefficients, cfg.num_mel_filters)
+    for table in (window, fb, dct):
+        table.flags.writeable = False
+    return window, fb.T, dct.T
+
+
 def _center_pad(x: np.ndarray, pad: int) -> np.ndarray:
     # reflect when the signal allows it, zero-fill the remainder otherwise
     if pad < x.size:
@@ -254,17 +278,15 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> Tensor:
     x = clip.samples
     if cfg.center_padding:
         x = _center_pad(x, cfg.frame_length // 2)
-    window = _hann(cfg.frame_length)
-    starts = np.arange(frames) * cfg.hop_length
-    short = int(starts[-1]) + cfg.frame_length - x.size
+    window, fb_t, dct_t = _mfcc_tables(cfg)
+    short = (frames - 1) * cfg.hop_length + cfg.frame_length - x.size
     if short > 0:  # odd frame lengths can leave the last frame one sample shy
         x = np.concatenate([x, np.zeros(short)])
-    segs = np.stack([x[s : s + cfg.frame_length] for s in starts])
-    spectrum = np.abs(np.fft.rfft(segs * window, axis=1))
-    fb = mel_filterbank(
-        cfg.num_mel_filters, cfg.frame_length, cfg.sample_rate, cfg.fmin, cfg.effective_fmax
-    )
-    mel_energy = spectrum @ fb.T
-    logmel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    coeffs = logmel @ dct_matrix(cfg.num_coefficients, cfg.num_mel_filters).T
+    segs = sliding_window_view(x, cfg.frame_length)[:: cfg.hop_length][:frames]
+    spectrum = np.empty((frames, cfg.frame_length // 2 + 1))
+    for i in range(0, frames, FRAME_BLOCK):
+        block = segs[i : i + FRAME_BLOCK] * window  # the one copy of these frames
+        np.abs(np.fft.rfft(block, axis=1), out=spectrum[i : i + FRAME_BLOCK])
+    logmel = np.log(np.maximum(spectrum @ fb_t, LOG_FLOOR))
+    coeffs = logmel @ dct_t
     return Tensor(coeffs.astype(np.float32))

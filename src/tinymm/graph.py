@@ -17,6 +17,7 @@ and values are dequantized only at the softmax input.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,6 +106,8 @@ class ModelGraph:
 # -- config parsing -----------------------------------------------------------
 
 def _parse_layer(doc: dict) -> LayerSpec:
+    if not isinstance(doc, dict):
+        raise ParseError(f"layer must be an object, got {type(doc).__name__}")
     try:
         name = str(doc["name"])
         kind = str(doc["kind"])
@@ -112,16 +115,21 @@ def _parse_layer(doc: dict) -> LayerSpec:
         raise ParseError(f"layer missing field {exc}") from exc
     if kind not in ALL_KINDS:
         raise ParseError(f"layer {name!r}: unknown kind {kind!r}")
-    inputs = tuple(str(s) for s in doc.get("inputs", ()))
+    raw_inputs = doc.get("inputs", ())
+    if not isinstance(raw_inputs, (list, tuple)):
+        raise ParseError(f"layer {name!r}: inputs must be a list of layer names")
+    inputs = tuple(str(s) for s in raw_inputs)
     spec = LayerSpec(name=name, kind=kind, inputs=inputs)
     if kind == "input":
         if inputs:
             raise ParseError(f"input layer {name!r} cannot have inputs")
         try:
             spec.input_shape = tuple(int(d) for d in doc["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"input layer {name!r} needs a shape") from exc
         spec.source = doc.get("source")
+        if spec.source is not None and not isinstance(spec.source, dict):
+            raise ParseError(f"input layer {name!r}: source must be an object")
         return spec
     if not inputs:
         raise ParseError(f"layer {name!r} has no inputs")
@@ -139,10 +147,13 @@ def _parse_layer(doc: dict) -> LayerSpec:
     if kind == "maxpool":
         try:
             spec.pool = K.PoolSpec(int(doc["pool_size"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"maxpool layer {name!r} needs pool_size") from exc
     if kind == "dropout":
-        spec.rate = float(doc.get("rate", 0.0))
+        try:
+            spec.rate = float(doc.get("rate", 0.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"dropout layer {name!r}: bad rate: {exc}") from exc
         if not 0.0 <= spec.rate < 1.0:
             raise ParseError(f"dropout layer {name!r}: bad rate {spec.rate}")
     return spec
@@ -157,10 +168,11 @@ def _check_input_source(layer: LayerSpec) -> None:
     if src.get("type") == "mfcc":
         try:
             cfg = MfccConfig.from_dict(src)
-        except (KeyError, TypeError, ValueError) as exc:
+            if "chunk_seconds" in src:
+                samples = int(round(float(src["chunk_seconds"]) * cfg.sample_rate))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"input {layer.name!r}: bad mfcc source: {exc}") from exc
         if "chunk_seconds" in src:
-            samples = int(round(float(src["chunk_seconds"]) * cfg.sample_rate))
             frames = frame_count(samples, cfg)
             want = (frames, cfg.num_coefficients, 1)
             if shape != want:
@@ -171,7 +183,10 @@ def _check_input_source(layer: LayerSpec) -> None:
     elif src.get("type") == "image":
         if len(shape) != 3:
             raise ParseError(f"input {layer.name!r}: image inputs must be rank 3")
-        want = (int(src.get("height", shape[0])), int(src.get("width", shape[1])), 3)
+        try:
+            want = (int(src.get("height", shape[0])), int(src.get("width", shape[1])), 3)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"input {layer.name!r}: bad image source: {exc}") from exc
         if shape != want:
             raise ParseError(
                 f"input {layer.name!r}: declared shape {shape} but the image "
@@ -182,7 +197,7 @@ def _check_input_source(layer: LayerSpec) -> None:
 def _infer_shapes(layers: list[LayerSpec], raw: list[dict]) -> dict[str, tuple[int, ...]]:
     """Resolve every layer's output shape, completing conv/dense specs."""
     shapes: dict[str, tuple[int, ...]] = {}
-    raw_by_name = {d["name"]: d for d in raw}
+    raw_by_name = {l.name: d for l, d in zip(layers, raw)}
     for layer in layers:
         if layer.kind == "input":
             _check_input_source(layer)
@@ -203,7 +218,7 @@ def _infer_shapes(layers: list[LayerSpec], raw: list[dict]) -> dict[str, tuple[i
                     padding=str(doc.get("padding", K.VALID)),
                     kind="traditional" if layer.kind == "conv2d" else "depthwise_separable",
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"conv layer {layer.name!r}: {exc}") from exc
             h = K.conv_output_dim(s[0], layer.conv.kernel_size, layer.conv.stride, layer.conv.padding)
             w = K.conv_output_dim(s[1], layer.conv.kernel_size, layer.conv.stride, layer.conv.padding)
@@ -221,7 +236,7 @@ def _infer_shapes(layers: list[LayerSpec], raw: list[dict]) -> dict[str, tuple[i
             doc = raw_by_name[layer.name]
             try:
                 layer.dense = K.DenseSpec(s[0], int(doc["out_features"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"dense layer {layer.name!r}: {exc}") from exc
             shapes[layer.name] = (layer.dense.out_features,)
         elif layer.kind == "flatten":
@@ -366,6 +381,8 @@ def _build_chains(
 
 def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
     """Validate a parsed config against a record set and build the graph."""
+    if not isinstance(config, dict):
+        raise ParseError(f"config must be an object, got {type(config).__name__}")
     if config.get("schema") != SCHEMA:
         raise ParseError(f"unsupported schema {config.get('schema')!r}")
     raw_layers = config.get("layers")
@@ -419,10 +436,16 @@ def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
     input_names, concat, output = _check_dag(layers)
     chains, head = _build_chains(layers, input_names, concat)
 
-    overrides = {
-        str(k): float(v)
-        for k, v in (config.get("sensitivity_overrides") or {}).items()
-    }
+    raw_overrides = config.get("sensitivity_overrides") or {}
+    if not isinstance(raw_overrides, dict):
+        raise ParseError("sensitivity_overrides must be an object of layer name -> number")
+    try:
+        overrides = {str(k): float(v) for k, v in raw_overrides.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad sensitivity override: {exc}") from exc
+    for k, v in overrides.items():
+        if not (math.isfinite(v) and v >= 0):  # a weight on omega; NaN passes every comparison
+            raise ParseError(f"sensitivity override for {k!r} must be finite and >= 0, got {v}")
     return ModelGraph(
         name=str(config.get("name", "model")),
         layers=layers,

@@ -6,7 +6,10 @@ private contraction core in `kernels` as its float twin on those offset
 integers held in float64, adds the 32-bit integer bias (at scale
 s_in * s_w) and requantizes every accumulator: multiplied by
 (s_in * s_w / s_out) in double precision, rounded half-to-even, shifted by
-the output zero point and clamped.
+the output zero point and clamped. Requantization (`_requantize_into`,
+shared with `requantize_tensor`) runs each of those steps in place on the
+float64 accumulator the kernel already owns, so the only array it allocates
+is the int32 result.
 
 The float64 contraction is exact integer arithmetic. `check_accumulator`
 rejects any layer whose worst-case |acc + bias| could reach 2^31, and every
@@ -55,20 +58,24 @@ def quantize_bias(bias: Tensor, input_scale: float, weight_scale: float) -> np.n
     return np.clip(q, -BIAS_LIMIT, BIAS_LIMIT).astype(np.int64)
 
 
-def _requantize_acc(
-    acc: np.ndarray, in_scale: float, w_scale: float, out: QuantParams
-) -> np.ndarray:
-    multiplier = (in_scale * w_scale) / out.scale
-    q = np.round(acc * multiplier) + out.zero_point
-    return np.clip(q, out.qmin, out.qmax).astype(np.int32)
+def _requantize_into(acc: np.ndarray, multiplier: float, out: QuantParams) -> np.ndarray:
+    """Requantize a float64 array the caller owns, overwriting it.
+
+    acc * multiplier, rounded half-to-even, plus the output zero point,
+    clamped to [qmin, qmax]: every step writes into acc, and the only new
+    array is the int32 result.
+    """
+    np.multiply(acc, multiplier, out=acc)
+    np.rint(acc, out=acc)
+    np.add(acc, out.zero_point, out=acc)
+    np.clip(acc, out.qmin, out.qmax, out=acc)
+    return acc.astype(np.int32)
 
 
 def requantize_tensor(q: QuantTensor, new_params: QuantParams) -> QuantTensor:
     """Re-express a quantized tensor under different scale/zero-point/bits."""
-    ratio = q.params.scale / new_params.scale
-    vals = np.round((q.qdata.astype(np.float64) - q.params.zero_point) * ratio)
-    vals = np.clip(vals + new_params.zero_point, new_params.qmin, new_params.qmax)
-    return QuantTensor(vals.astype(np.int32), new_params)
+    vals = _requantize_into(_offset(q), q.params.scale / new_params.scale, new_params)
+    return QuantTensor(vals, new_params)
 
 
 def _check_bits(inp: QuantTensor, weights: QuantTensor) -> None:
@@ -79,18 +86,16 @@ def _check_bits(inp: QuantTensor, weights: QuantTensor) -> None:
 
 
 def _offset(inp: QuantTensor) -> np.ndarray:
-    """Payload minus zero point as float64: real 0 becomes exactly 0."""
-    return inp.qdata.astype(np.float64) - inp.params.zero_point
+    """Payload minus zero point as a new float64 array: real 0 becomes exactly 0."""
+    return np.subtract(inp.qdata, inp.params.zero_point, dtype=np.float64)
 
 
 def _finish(acc, bias, inp: QuantTensor, weights: QuantTensor, out_params: QuantParams):
     """Add the integer bias (None for none) and requantize to out_params."""
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)
-    return QuantTensor(
-        _requantize_acc(acc, inp.params.scale, weights.params.scale, out_params),
-        out_params,
-    )
+    multiplier = (inp.params.scale * weights.params.scale) / out_params.scale
+    return QuantTensor(_requantize_into(acc, multiplier, out_params), out_params)
 
 
 def conv2d_int(

@@ -1,4 +1,6 @@
 """Small two-branch model used by graph/CLI tests (fast to execute)."""
+import json
+
 import numpy as np
 
 from tinymm.blob import DTYPE_F32, Record
@@ -68,3 +70,46 @@ def tiny_records(seed=0, with_bn=True, zero_weights=False):
 def tiny_model(seed=0, with_bn=True, zero_weights=False):
     records = {r.name: r for r in tiny_records(seed, with_bn, zero_weights)}
     return assemble_model(tiny_config(with_bn), records)
+
+
+# JSON values a malformed config may hold where another type belongs
+# (json.load also accepts NaN and Infinity)
+CONFIG_JUNK = (
+    None, True, -1, 0, 3, 2.5, 1e300, 10**400, float("nan"), float("inf"),
+    "", "x", "8", "same", "mfcc", [], [1, 2], ["a"], {}, {"a": 1}, {"type": "mfcc"},
+)
+
+
+def _paths(node, path=()):
+    """Every key path inside a JSON document, parents before children."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def mutated_config(config, rng):
+    """Copy of config with 1-3 seeded edits: a value anywhere in the
+    document replaced by junk, a key or list item deleted, or junk
+    sensitivity_overrides."""
+    doc = json.loads(json.dumps(config))
+
+    def junk():
+        return json.loads(json.dumps(CONFIG_JUNK[int(rng.integers(len(CONFIG_JUNK)))]))
+
+    for _ in range(int(rng.integers(1, 4))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = paths[int(rng.integers(len(paths)))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        op = rng.random()
+        if op < 0.2:
+            del parent[path[-1]]
+        elif op < 0.3:
+            doc["sensitivity_overrides"] = junk()
+        else:
+            parent[path[-1]] = junk()
+    return doc

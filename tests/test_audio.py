@@ -3,9 +3,14 @@ import struct
 import numpy as np
 import pytest
 
+import tinymm.audio as audio_mod
 from tinymm.audio import (
+    DEFAULT_MFCC,
+    FRAME_BLOCK,
     AudioClip,
     MfccConfig,
+    _center_pad,
+    _mfcc_tables,
     chunk_audio,
     dct_matrix,
     frame_count,
@@ -22,6 +27,7 @@ from tinymm.errors import (
     SampleRateMismatchError,
     UnsupportedFormatError,
 )
+from tinymm.reference_models import reference_config
 
 from oracles import dft_filter_energies
 
@@ -186,3 +192,105 @@ def test_sine_at_filter_center_concentrates_energy():
     assert int(np.argmax(energies)) == j
     spectrum = np.abs(np.fft.rfft(frame * window, n_fft))
     assert np.allclose(fb @ spectrum, energies, atol=1e-8)
+
+
+# -- MFCC against the frame-by-frame formulation ------------------------------------
+
+def _mfcc_stacked(clip, cfg):
+    """The MFCC pipeline built one frame at a time, with every table rebuilt
+    per call; `mfcc` must equal it bit for bit."""
+    x = clip.samples
+    if cfg.center_padding:
+        x = _center_pad(x, cfg.frame_length // 2)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(cfg.frame_length) / cfg.frame_length))
+    starts = np.arange(frame_count(clip.samples.size, cfg)) * cfg.hop_length
+    short = int(starts[-1]) + cfg.frame_length - x.size
+    if short > 0:
+        x = np.concatenate([x, np.zeros(short)])
+    segs = np.stack([x[s : s + cfg.frame_length] for s in starts])
+    spectrum = np.abs(np.fft.rfft(segs * window, axis=1))
+    fb = mel_filterbank(
+        cfg.num_mel_filters, cfg.frame_length, cfg.sample_rate, cfg.fmin, cfg.effective_fmax
+    )
+    logmel = np.log(np.maximum(spectrum @ fb.T, 1e-10))
+    coeffs = logmel @ dct_matrix(cfg.num_coefficients, cfg.num_mel_filters).T
+    return coeffs.astype(np.float32)
+
+
+def _reference_mfcc_configs():
+    out = []
+    for model in ("covid", "battlefield"):
+        for layer in reference_config(model)["layers"]:
+            src = layer.get("source") or {}
+            if src.get("type") == "mfcc":
+                out.append((MfccConfig.from_dict(src), src["chunk_seconds"]))
+    return out
+
+
+_ODD = MfccConfig(sample_rate=8000, frame_length=255, hop_length=64,
+                  num_mel_filters=20, num_coefficients=10)
+_BLOCKS = MfccConfig(sample_rate=8000, frame_length=256, hop_length=64,
+                     num_mel_filters=20, num_coefficients=10)
+_WIDE_PAD = MfccConfig(sample_rate=8000, frame_length=512, hop_length=128,
+                       num_mel_filters=20, num_coefficients=10)
+_MFCC_CASES = [
+    *_reference_mfcc_configs(),
+    (DEFAULT_MFCC, 1.0),
+    (_ODD, 0.8),  # 6400 + 2 * 127 = 6654 padded samples; the last frame needs index 6654
+    (MfccConfig(sample_rate=16000, frame_length=400, hop_length=160, num_mel_filters=26,
+                num_coefficients=13, center_padding=False), 0.53),
+    (_WIDE_PAD, 0.0125),  # 100 samples < the 256-sample pad: zero-filled reflection
+    (_WIDE_PAD, 1 / 8000),  # a single sample: nothing to reflect
+    (_BLOCKS, (2 * FRAME_BLOCK - 1) * 64 / 8000),  # exactly two frame blocks
+    (MfccConfig(sample_rate=22050, frame_length=1024, hop_length=256, num_mel_filters=32,
+                num_coefficients=12, fmin=300.0, fmax=6000.0), 0.7),
+]
+
+
+@pytest.mark.parametrize("cfg,seconds", _MFCC_CASES, ids=[
+    "covid-cough", "covid-speech", "battlefield", "default", "odd-frame", "no-center",
+    "shorter-than-pad", "one-sample", "two-blocks", "fmin-fmax",
+])
+def test_mfcc_bit_identical_to_stacked_frames(cfg, seconds):
+    rng = np.random.default_rng(cfg.frame_length + cfg.hop_length)
+    n = int(round(seconds * cfg.sample_rate))
+    t = np.arange(n) / cfg.sample_rate
+    clip = AudioClip(0.3 * np.sin(2 * np.pi * 440 * t) + 0.1 * rng.standard_normal(n), cfg.sample_rate)
+    for _ in range(2):  # the second call reads the cached tables
+        assert np.array_equal(mfcc(clip, cfg).data, _mfcc_stacked(clip, cfg))
+
+
+def test_mfcc_tables_read_only_and_shared(monkeypatch):
+    cfg = MfccConfig(sample_rate=8000, frame_length=256, hop_length=80,
+                     num_mel_filters=16, num_coefficients=8)
+    tables = _mfcc_tables(cfg)
+    same = _mfcc_tables(MfccConfig.from_dict(cfg.to_dict()))  # an equal, distinct config
+    assert all(a is b for a, b in zip(tables, same))
+    window, fb_t, dct_t = tables
+    assert fb_t.shape == (129, 16) and dct_t.shape == (16, 8) and window.shape == (256,)
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+    # once cached, a request rebuilds no table
+    clip = AudioClip(np.random.default_rng(3).normal(size=800) * 0.1, 8000)
+    want = mfcc(clip, cfg).data
+
+    def rebuilt(*args):
+        raise AssertionError("table rebuilt for a cached config")
+
+    monkeypatch.setattr(audio_mod, "mel_filterbank", rebuilt)
+    monkeypatch.setattr(audio_mod, "dct_matrix", rebuilt)
+    assert np.array_equal(mfcc(clip, cfg).data, want)
+
+
+def test_mfcc_does_not_touch_the_clip():
+    rng = np.random.default_rng(4)
+    for center in (True, False):
+        cfg = MfccConfig(sample_rate=8000, frame_length=256, hop_length=64,
+                         num_mel_filters=20, num_coefficients=10, center_padding=center)
+        clip = AudioClip(rng.normal(size=1000) * 0.1, 8000)
+        before = clip.samples.copy()
+        clip.samples.flags.writeable = False  # an in-place write would raise
+        mfcc(clip, cfg)
+        assert np.array_equal(clip.samples, before)

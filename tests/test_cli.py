@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import tinymm
 
 from tinymm.audio import AudioClip, save_wav
 from tinymm.blob import read_blob, write_blob
@@ -10,6 +16,8 @@ from tinymm.costs import model_size_bits
 from tinymm.graph import cost_report
 from tinymm.image import save_ppm
 from tinymm.reference_models import build_reference, reference_config, reference_weight_records
+
+from model_fixtures import mutated_config
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +73,39 @@ def test_inspect_missing_file_exit_2(capsys):
     rc = main(["inspect", "/no/such/model.json", "--weights", "/no/such/blob"])
     assert rc == 2
     assert "/no/such/model.json" in capsys.readouterr().err
+
+
+def test_inspect_mutated_configs_exit_2(tmp_path, capsys):
+    blob = tmp_path / "w.tmmw"
+    write_blob(blob, reference_weight_records("covid"))
+    config = tmp_path / "mutated.json"
+    rng = np.random.default_rng(1)
+    codes = []
+    for _ in range(60):
+        config.write_text(json.dumps(mutated_config(reference_config("covid"), rng)))
+        codes.append(main(["inspect", str(config), "--weights", str(blob)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2)  # 0: the edits left a valid config
+        assert "Traceback" not in err
+        if codes[-1] == 2:
+            assert err.startswith("cannot load model:")
+    assert codes.count(2) > 30
+
+
+def test_inspect_malformed_config_subprocess_exit_2(tmp_path):
+    blob = tmp_path / "w.tmmw"
+    write_blob(blob, reference_weight_records("covid"))
+    doc = reference_config("covid")
+    doc["layers"][0]["source"] = "mfcc"
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(tinymm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tinymm.cli", "inspect", str(config), "--weights", str(blob)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "cannot load model" in proc.stderr
 
 
 def test_allocate_boundary_budgets(tmp_path):

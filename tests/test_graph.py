@@ -11,6 +11,7 @@ from tinymm.errors import (
     MissingCalibrationError,
     ParseError,
     ShapeMismatchError,
+    TinymmError,
 )
 from tinymm.graph import (
     assemble_model,
@@ -30,7 +31,7 @@ from tinymm.reference_models import (
 )
 from tinymm.tensor import Tensor
 
-from model_fixtures import tiny_config, tiny_model, tiny_records
+from model_fixtures import mutated_config, tiny_config, tiny_model, tiny_records
 
 
 def _rand_inputs(graph, rng, scale=1.0):
@@ -125,12 +126,41 @@ def test_wrong_record_shape():
                                           "inputs": ["a_in"], "kernel_size": 3}),
     lambda c: c["layers"].pop(),  # drop the softmax terminal
     lambda c: c["layers"][1].update(bits=7.5),  # a_conv pinned to a non-integral width
+    lambda c: c["layers"].__setitem__(3, ["a_relu"]),  # a layer that is not an object
+    lambda c: c["layers"][1].update(inputs=5),
+    lambda c: c["layers"][0].update(source="mfcc"),
+    lambda c: c.update(sensitivity_overrides=["a_conv"]),
+    lambda c: c.update(sensitivity_overrides={"a_conv": "high"}),
+    # overrides weight omega: a negative one fails scoring inside `allocate`, NaN
+    # passes every comparison the solver makes, inf makes every budget infeasible
+    lambda c: c.update(sensitivity_overrides={"a_conv": -1.0}),
+    lambda c: c.update(sensitivity_overrides={"a_conv": float("nan")}),
+    lambda c: c.update(sensitivity_overrides={"a_conv": float("inf")}),
 ])
 def test_config_validation_errors(mutate):
     config = tiny_config()
     mutate(config)
     with pytest.raises(ParseError):
         assemble_model(config, {r.name: r for r in tiny_records()})
+
+
+@pytest.mark.parametrize("model", ["covid", "battlefield"])
+def test_config_mutations_fail_typed(model):
+    records = {r.name: r for r in reference_weight_records(model)}
+    rng = np.random.default_rng(0)
+    failures = 0
+    for _ in range(400):
+        config = mutated_config(reference_config(model), rng)
+        try:
+            cost_report(assemble_model(config, records))
+        except TinymmError:
+            failures += 1  # any other exception type fails the test
+    assert failures > 200
+
+
+def test_non_object_config_is_parse_error():
+    with pytest.raises(ParseError):
+        assemble_model([tiny_config()], {r.name: r for r in tiny_records()})
 
 
 def test_integral_float_bit_pin_is_an_integer_pin():

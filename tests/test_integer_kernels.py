@@ -22,6 +22,7 @@ from tinymm.integer_kernels import (
     quantize_bias,
     relu_int,
     requantize_tensor,
+    _requantize_into,
 )
 from tinymm.kernels import ConvSpec, PoolSpec
 from tinymm.quantize import CalibrationStats, affine_params, quantize_tensor
@@ -203,6 +204,76 @@ def test_requantize_round_trip_consistency():
     assert to4.params.bits == 4
     err = np.abs(dequantize(to4).data - vals)
     assert err.max() <= to4.params.scale / 2 + 1e-9
+
+
+def _requantize_formula(acc, multiplier, p):
+    """Requantization as one expression of fresh temporaries."""
+    return np.clip(np.round(acc * multiplier) + p.zero_point, p.qmin, p.qmax).astype(np.int32)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("zero_point", [-3, 0, 2])
+def test_requantize_in_place_matches_formula(bits, zero_point):
+    p = QuantParams(scale=0.1, zero_point=zero_point, bits=bits)
+    rng = np.random.default_rng(bits * 10 + zero_point)
+    acc = np.concatenate([
+        rng.integers(-50_000, 50_000, size=500).astype(np.float64),
+        np.arange(-41, 42, dtype=np.float64),  # with multiplier 0.5: every x.5 tie
+        [-(2.0 ** 31 - 1), 2.0 ** 31 - 1, 0.0],  # far outside either range: saturates
+    ])
+    for multiplier in (0.5, 0.25, 1.5, 3.7e-3, 1.0 / 3.0):
+        want = _requantize_formula(acc, multiplier, p)
+        buf = acc.copy()
+        got = _requantize_into(buf, multiplier, p)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert np.array_equal(buf, want)  # the accumulator was overwritten, not copied
+    assert want.min() == p.qmin and want.max() == p.qmax
+
+
+def test_requantize_ties_round_half_to_even():
+    p = QuantParams(scale=1.0, zero_point=1, bits=8)
+    acc = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])  # x 0.5: -2.5 ... 2.5
+    assert _requantize_into(acc, 0.5, p).tolist() == [-1, -1, 1, 1, 3, 3]
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_requantize_tensor_ties_and_saturation(bits):
+    src = QuantParams(scale=1.0, zero_point=-1, bits=bits)
+    dst = QuantParams(scale=2.0, zero_point=1, bits=bits)
+    payload = np.arange(src.qmin, src.qmax + 1, dtype=np.int32)
+    out = requantize_tensor(QuantTensor(payload, src), dst).qdata
+    # (q + 1) / 2 lands on x.5 for every even q: half-to-even, then + 1
+    assert np.array_equal(out, _requantize_formula(payload + 1.0, 0.5, dst))
+    assert out[payload == 0].item() == 1 and out[payload == 2].item() == 3  # 0.5 -> 0, 1.5 -> 2
+    narrow = QuantParams(scale=0.05, zero_point=3, bits=bits)
+    clipped = requantize_tensor(QuantTensor(payload, src), narrow).qdata
+    assert clipped.min() == narrow.qmin and clipped.max() == narrow.qmax
+    assert np.array_equal(clipped, _requantize_formula(payload + 1.0, 20.0, narrow))
+
+
+def test_int_kernels_leave_operands_untouched():
+    rng = np.random.default_rng(12)
+    q_in = _rand_quant(rng, (6, 6, 3), 8)
+    w = quantize_tensor(Tensor(rng.normal(size=(3, 3, 3, 4)).astype(np.float32)), 8)
+    dw = quantize_tensor(Tensor(rng.normal(size=(3, 3, 3)).astype(np.float32)), 8)
+    pw = quantize_tensor(Tensor(rng.normal(size=(1, 1, 3, 4)).astype(np.float32)), 8)
+    dense_w = quantize_tensor(Tensor(rng.normal(size=(108, 4)).astype(np.float32)), 8)
+    bias = rng.integers(-1000, 1000, size=4).astype(np.int64)
+    bias.flags.writeable = False
+    out_p = QuantParams(scale=0.2, zero_point=-5, bits=8)
+    operands = [q_in, w, dw, pw, dense_w]
+    before = [t.qdata.copy() for t in operands]
+    assert not any(t.qdata.flags.writeable for t in operands)  # a write would raise
+    conv2d_int(q_in, w, bias, out_p, _spec(3, 4))
+    depthwise_separable_conv2d_int(q_in, dw, pw, bias, out_p, out_p, _spec(3, 4, padding="same"))
+    pointwise_conv2d_int(q_in, pw, bias, out_p)
+    dense_int(q_in.reshape((108,)), dense_w, bias, out_p)
+    requantize_tensor(q_in, out_p)
+    relu_int(q_in)
+    maxpool2d_int(q_in, PoolSpec(2))
+    for t, b in zip(operands, before):
+        assert np.array_equal(t.qdata, b)
 
 
 def test_integer_kernels_deterministic_across_threads():
