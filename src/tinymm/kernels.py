@@ -1,11 +1,13 @@
 """Floating-point kernels for every layer type, and the core they share.
 
 All spatial kernels take channels-last inputs (H, W, C). The private core
-is one geometry check per kernel kind (`_check_*`), the zero-padded window
-view (`_windows`), float64 contractions (`_*_core`: im2col + GEMM for
-convolution, GEMM for pointwise and dense, einsum for depthwise) and the
-max-pool body. Float kernels here and integer kernels in `integer_kernels`
-wrap it; float results are stored as float32. Kernels are pure functions
+is one geometry check per kernel kind (`_check_*`), the window view
+(`_windows`: one read-only strided (H', W', Dk, Dk, C) view, over a
+zero-filled copy of the input for SAME padding), contractions in the
+operands' dtype (`_*_core`: im2col + GEMM for convolution, GEMM for
+pointwise and dense, einsum for depthwise) and the max-pool body. Float
+kernels here contract in float64 and store float32; integer kernels in
+`integer_kernels` wrap the same core. Kernels are pure functions
 of immutable tensors, so independent layer invocations may run concurrently.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     InputTooSmallError,
@@ -92,13 +94,23 @@ def conv_output_dim(d_f: int, d_k: int, stride: int, padding: str) -> int:
 
 
 def _windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """(H', W', Dk, Dk, C) view of every kernel placement, zero-padded if SAME."""
-    d_k = spec.kernel_size
+    """Read-only (H', W', Dk, Dk, C) view of every kernel placement.
+
+    SAME copies x once into a zero-filled buffer; VALID views x itself.
+    """
+    d_k, st = spec.kernel_size, spec.stride
     if spec.padding == SAME:
-        lo, hi = (d_k - 1) // 2, d_k // 2
-        x = np.pad(x, ((lo, hi), (lo, hi), (0, 0)))
-    win = sliding_window_view(x, (d_k, d_k), axis=(0, 1))  # (H', W', C, Dk, Dk)
-    return np.moveaxis(win[:: spec.stride, :: spec.stride], 2, -1)
+        h, w, c = x.shape
+        lo = (d_k - 1) // 2
+        buf = np.zeros((h + d_k - 1, w + d_k - 1, c), dtype=x.dtype)
+        buf[lo : lo + h, lo : lo + w] = x
+        x = buf
+    h_out = (x.shape[0] - d_k) // st + 1
+    w_out = (x.shape[1] - d_k) // st + 1
+    s0, s1, s2 = x.strides
+    return as_strided(
+        x, (h_out, w_out, d_k, d_k, x.shape[2]), (s0 * st, s1 * st, s0, s1, s2), writeable=False
+    )
 
 
 # -- geometry checks, one per kernel kind --------------------------------------
@@ -157,9 +169,10 @@ def _check_pool(inp, spec: PoolSpec, who: str) -> None:
         raise InputTooSmallError(f"input {inp.shape[:2]} smaller than pool {p}")
 
 
-# -- contraction core on float64 operands ---------------------------------------
-# Shared by the float kernels here and the integer kernels, which pass
-# zero-point-offset integers; callers have already checked the geometry.
+# -- contraction core -------------------------------------------------------------
+# Shared by the float kernels here (float64 operands) and the integer kernels,
+# which pass zero-point-offset integers in float32 or float64; callers have
+# already checked the geometry.
 
 def _conv_core(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """(H, W, M) x (Dk, Dk, M, N) -> (H', W', N) as im2col then one GEMM."""

@@ -85,17 +85,6 @@ def tensor_create(shape, data) -> Tensor:
     return Tensor(flat.reshape(shape))
 
 
-def tensor_from_array(arr) -> Tensor:
-    """Wrap an array-like, keeping its shape."""
-    return Tensor(np.asarray(arr, dtype=np.float32))
-
-
-def zeros(shape) -> Tensor:
-    shape = tuple(int(d) for d in shape)
-    _check_shape(shape)
-    return Tensor(np.zeros(shape, dtype=np.float32))
-
-
 def concat_last_axis(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two rank-1 feature vectors, a's elements first."""
     if a.rank != 1 or b.rank != 1:
@@ -152,6 +141,18 @@ class QuantTensor:
         self._qdata = arr
         self.params = params
 
+    @classmethod
+    def _in_range(cls, qdata: np.ndarray, params: QuantParams) -> "QuantTensor":
+        """Wrap a payload that lies in params' range by construction (clamped,
+        or a maximum or reshape of in-range values) without re-scanning it.
+        Everything from outside goes through the validating constructor."""
+        self = object.__new__(cls)
+        arr = np.ascontiguousarray(qdata, dtype=np.int32)
+        arr.flags.writeable = False
+        self._qdata = arr
+        self.params = params
+        return self
+
     @property
     def qdata(self) -> np.ndarray:
         return self._qdata
@@ -165,7 +166,9 @@ class QuantTensor:
         return self._qdata.ndim
 
     def reshape(self, shape: tuple[int, ...]) -> "QuantTensor":
-        return QuantTensor(self._qdata.reshape(shape), self.params)
+        arr = self._qdata.reshape(shape)
+        _check_shape(arr.shape)
+        return QuantTensor._in_range(arr, self.params)
 
     def __repr__(self) -> str:
         return f"QuantTensor(shape={self.shape}, bits={self.params.bits})"

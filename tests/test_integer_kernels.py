@@ -8,6 +8,7 @@ from tinymm.errors import (
     KernelTooLargeError,
     PrecisionMismatchError,
     RankMismatchError,
+    ShapeMismatchError,
 )
 from tinymm.integer_kernels import (
     ACC_LIMIT,
@@ -22,6 +23,7 @@ from tinymm.integer_kernels import (
     quantize_bias,
     relu_int,
     requantize_tensor,
+    _contraction_dtype,
     _requantize_into,
 )
 from tinymm.kernels import ConvSpec, PoolSpec
@@ -276,6 +278,50 @@ def test_int_kernels_leave_operands_untouched():
         assert np.array_equal(t.qdata, b)
 
 
+@pytest.mark.parametrize("bits", [4, 8])
+def test_kernel_outputs_pass_the_validating_constructor(bits):
+    """Kernel outputs skip the payload range scan; it would accept them all,
+    including outputs saturated at both ends of the range."""
+    p = QuantParams(scale=1.0, zero_point=0, bits=bits)
+    seen_min = seen_max = False
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        q_in = _rand_quant(rng, (7, 6, 3), bits)
+        w = quantize_tensor(Tensor(rng.normal(size=(3, 3, 3, 4)).astype(np.float32)), bits)
+        dw = quantize_tensor(Tensor(rng.normal(size=(3, 3, 3)).astype(np.float32)), bits)
+        pw = quantize_tensor(Tensor(rng.normal(size=(1, 1, 3, 4)).astype(np.float32)), bits)
+        dense_w = quantize_tensor(Tensor(rng.normal(size=(126, 4)).astype(np.float32)), bits)
+        bias = rng.integers(-1000, 1000, size=4).astype(np.int64)
+        # seeds 0-2 fit the output range; 3-5 shrink its scale to saturate
+        out_p = QuantParams(scale=float(rng.uniform(0.05, 0.5)) * (1e-3 if seed >= 3 else 1.0),
+                            zero_point=int(rng.integers(p.qmin, p.qmax + 1)), bits=bits)
+        outs = [
+            conv2d_int(q_in, w, bias, out_p, _spec(3, 4, padding="same")),
+            depthwise_conv2d_int(q_in, dw, out_p, _spec(3, 3)),
+            pointwise_conv2d_int(q_in, pw, bias, out_p),
+            depthwise_separable_conv2d_int(q_in, dw, pw, bias, out_p, out_p, _spec(3, 4)),
+            dense_int(q_in.reshape((126,)), dense_w, bias, out_p),
+            requantize_tensor(q_in, out_p),
+            relu_int(q_in),
+            maxpool2d_int(q_in, PoolSpec(2)),
+        ]
+        for out in outs:
+            assert out.qdata.dtype == np.int32 and out.qdata.flags.c_contiguous
+            assert not out.qdata.flags.writeable
+            again = QuantTensor(out.qdata, out.params)
+            assert np.array_equal(again.qdata, out.qdata)
+            seen_min |= out.qdata.min() == out.params.qmin
+            seen_max |= out.qdata.max() == out.params.qmax
+            bad = out.qdata.copy()
+            bad.reshape(-1)[0] = out.params.qmax + 1
+            with pytest.raises(ShapeMismatchError):
+                QuantTensor(bad, out.params)
+            bad.reshape(-1)[0] = out.params.qmin - 1
+            with pytest.raises(ShapeMismatchError):
+                QuantTensor(bad, out.params)
+    assert seen_min and seen_max
+
+
 def test_integer_kernels_deterministic_across_threads():
     rng = np.random.default_rng(8)
     q_in = _rand_quant(rng, (6, 6, 3), 8)
@@ -328,21 +374,26 @@ def _max_terms(bits):
     return terms
 
 
+# most terms whose worst-case sum of |products| stays below 2^24
+F32_TERMS = {8: 514, 4: 139_810}
+
+
 @pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("bits", [4, 8])
 def test_int_kernels_exact_at_accumulator_boundary(bits, odd):
-    """Worst-case products (input qmin, zero point qmax, weight qmin) over the
-    most terms check_accumulator admits, against an int64 accumulation.
+    """Worst-case products (input qmin, zero point qmax, weight qmin) against
+    an int64 accumulation, at three term counts: the most a float32
+    contraction holds exactly, one more (which must contract in float64) and
+    the most check_accumulator admits.
 
     With odd=True one weight is qmin + 1, which makes the accumulator odd:
-    near 2^30 that is not representable in float32, so only an exact
+    above 2^24 that is not representable in float32, so only an exact
     contraction gets it right.
     """
     qmin, qmax = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    terms = _max_terms(bits)
-    d_k = int(np.sqrt(terms)) | 1  # largest odd depthwise kernel that fits
-    while d_k * d_k > terms:
-        d_k -= 2
+    f32_terms = F32_TERMS[bits]
+    assert _contraction_dtype(f32_terms, bits) is np.float32
+    assert _contraction_dtype(f32_terms + 1, bits) is np.float64
     in_p = QuantParams(scale=1.0, zero_point=qmax, bits=bits)
     w_p = QuantParams(scale=1.0, zero_point=0, bits=bits)
 
@@ -360,19 +411,24 @@ def test_int_kernels_exact_at_accumulator_boundary(bits, odd):
     # |acc + bias| at its largest, scaled into the output range
     big = QuantParams(scale=float(1 << (33 - bits)), zero_point=0, bits=bits)
     unit = QuantParams(scale=1.0, zero_point=-1, bits=bits)
-    x, w, acc = operands((1, 1, terms), (1, 1, terms, 1))
-    runs = [
-        lambda b, p: conv2d_int(x, w, b, p, _spec(terms, 1, k=1)),
-        lambda b, p: pointwise_conv2d_int(x, w, b, p),
-        lambda b, p: dense_int(x.reshape((terms,)), w.reshape((terms, 1)), b, p),
-    ]
-    # bias at its bound, then a bias cancelling all but a residue of 5,
-    # so that every low bit of the accumulator reaches the output
-    for bias, out_p in [(BIAS_LIMIT, big), (5 - acc, unit)]:
-        for run in runs:
-            got = run(np.array([bias], dtype=np.int64), out_p)
-            assert got.qdata.reshape(()) == want(acc + bias, out_p)
+    terms = _max_terms(bits)
+    for n in (f32_terms, f32_terms + 1, terms):
+        x, w, acc = operands((1, 1, n), (1, 1, n, 1))
+        runs = [
+            lambda b, p: conv2d_int(x, w, b, p, _spec(n, 1, k=1)),
+            lambda b, p: pointwise_conv2d_int(x, w, b, p),
+            lambda b, p: dense_int(x.reshape((n,)), w.reshape((n, 1)), b, p),
+        ]
+        # bias at its bound, then a bias cancelling all but a residue of 5,
+        # so that every low bit of the accumulator reaches the output
+        for bias, out_p in [(BIAS_LIMIT, big), (5 - acc, unit)]:
+            for run in runs:
+                got = run(np.array([bias], dtype=np.int64), out_p)
+                assert got.qdata.reshape(()) == want(acc + bias, out_p)
     # depthwise has no bias: d_k * d_k worst-case terms per channel
+    d_k = int(np.sqrt(terms)) | 1  # largest odd depthwise kernel that fits
+    while d_k * d_k > terms:
+        d_k -= 2
     x, dw, dw_acc = operands((d_k, d_k, 1), (d_k, d_k, 1))
     got = depthwise_conv2d_int(x, dw, big, _spec(1, 1, k=d_k))
     assert got.qdata.reshape(()) == want(dw_acc, big)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tinymm.errors import InputTooSmallError, KernelTooLargeError
 from tinymm.kernels import (
     ConvSpec,
+    _windows,
     PoolSpec,
     conv2d_fp,
     conv_output_dim,
@@ -14,7 +16,7 @@ from tinymm.kernels import (
     relu,
     softmax,
 )
-from tinymm.tensor import Tensor, tensor_create, zeros
+from tinymm.tensor import Tensor, tensor_create
 
 from oracles import (
     conv2d_loops,
@@ -54,6 +56,40 @@ def test_conv_output_dim_kernel_too_large():
         conv_output_dim(2, 3, 1, "valid")
 
 
+# -- window view -----------------------------------------------------------------
+
+def _windows_reference(x, spec):
+    """The window view as np.pad + sliding_window_view + moveaxis."""
+    d_k = spec.kernel_size
+    if spec.padding == "same":
+        lo, hi = (d_k - 1) // 2, d_k // 2
+        x = np.pad(x, ((lo, hi), (lo, hi), (0, 0)))
+    win = sliding_window_view(x, (d_k, d_k), axis=(0, 1))  # (H', W', C, Dk, Dk)
+    return np.moveaxis(win[:: spec.stride, :: spec.stride], 2, -1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_windows_match_padded_sliding_view(padding, dtype):
+    rng = np.random.default_rng(11)
+    for stride in (1, 2, 3):
+        for d_k in (1, 3, 5):
+            for c in (1, 3, 64):
+                h, w = rng.integers(d_k, d_k + 6, size=2)
+                x = rng.normal(size=(h, w, c)).astype(dtype)
+                # stride > 1 with SAME is rejected by the kernels' checks;
+                # the view itself is still defined and compared here
+                spec = ConvSpec(c, 1, d_k, stride=stride, padding=padding)
+                got, want = _windows(x, spec), _windows_reference(x, spec)
+                assert got.shape == want.shape
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+                assert np.shares_memory(got, x) == (padding == "valid")
+                with pytest.raises(ValueError):
+                    got[(0,) * 5] = 1.0
+
+
 # -- traditional convolution ---------------------------------------------------
 
 def test_conv2d_degenerate_1x1():
@@ -67,7 +103,7 @@ def test_conv2d_degenerate_1x1():
 def test_conv2d_zero_weights_gives_bias():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 5, 2)).astype(np.float32))
-    w = zeros([3, 3, 2, 4])
+    w = Tensor(np.zeros((3, 3, 2, 4)))
     b = tensor_create([4], [1, -2, 3, 0.25])
     out = conv2d_fp(x, w, b, _spec(2, 4))
     assert np.array_equal(out.data, np.broadcast_to(b.data, (3, 3, 4)))
@@ -130,7 +166,7 @@ def test_ds_conv_identity_pointwise_is_depthwise():
     x = Tensor(dyadic(rng, (6, 6, m)))
     dw = Tensor(dyadic(rng, (3, 3, m)))
     pw = Tensor(np.eye(m, dtype=np.float32).reshape(1, 1, m, m))
-    b = zeros([m])
+    b = Tensor(np.zeros(m))
     spec = _spec(m, m, kind="depthwise_separable")
     out = depthwise_separable_conv2d_fp(x, dw, pw, b, spec)
     stage = depthwise_conv2d_fp(x, dw, spec)
@@ -169,8 +205,8 @@ def test_ds_conv_random_shapes_vs_oracle():
 # -- pooling --------------------------------------------------------------------
 
 def test_maxpool_table_shapes():
-    assert maxpool2d(zeros([199, 16, 32]), PoolSpec(3)).shape == (66, 5, 32)
-    assert maxpool2d(zeros([329, 9, 32]), PoolSpec(2)).shape == (164, 4, 32)
+    assert maxpool2d(Tensor(np.zeros((199, 16, 32))), PoolSpec(3)).shape == (66, 5, 32)
+    assert maxpool2d(Tensor(np.zeros((329, 9, 32))), PoolSpec(2)).shape == (164, 4, 32)
 
 
 def test_maxpool_constant_stays_constant():
@@ -192,7 +228,7 @@ def test_maxpool_matches_loop_oracle():
 
 def test_maxpool_input_too_small():
     with pytest.raises(InputTooSmallError):
-        maxpool2d(zeros([2, 2, 1]), PoolSpec(3))
+        maxpool2d(Tensor(np.zeros((2, 2, 1))), PoolSpec(3))
 
 
 # -- dense ------------------------------------------------------------------------
@@ -200,13 +236,13 @@ def test_maxpool_input_too_small():
 def test_dense_identity():
     x = tensor_create([3], [1.0, -2.0, 3.0])
     w = Tensor(np.eye(3, dtype=np.float32))
-    out = dense_fp(x, w, zeros([3]))
+    out = dense_fp(x, w, Tensor(np.zeros(3)))
     assert np.array_equal(out.data, x.data)
 
 
 def test_dense_zero_input_gives_bias():
     b = tensor_create([4], [1, 2, 3, 4])
-    out = dense_fp(zeros([5]), zeros([5, 4]), b)
+    out = dense_fp(Tensor(np.zeros(5)), Tensor(np.zeros((5, 4))), b)
     assert np.array_equal(out.data, b.data)
 
 
@@ -265,9 +301,9 @@ def test_kernel_output_shapes_match_formulas():
         h = int(rng.integers(d_k, 65))
         w = int(rng.integers(d_k, 65))
         m = int(rng.integers(1, 4))
-        x = zeros([h, w, m])
+        x = Tensor(np.zeros((h, w, m)))
         spec = _spec(m, 2, k=d_k, stride=s)
-        out = conv2d_fp(x, zeros([d_k, d_k, m, 2]), zeros([2]), spec)
+        out = conv2d_fp(x, Tensor(np.zeros((d_k, d_k, m, 2))), Tensor(np.zeros(2)), spec)
         assert out.shape == (
             conv_output_dim(h, d_k, s, "valid"),
             conv_output_dim(w, d_k, s, "valid"),

@@ -8,7 +8,6 @@ from tinymm.tensor import (
     Tensor,
     concat_last_axis,
     tensor_create,
-    zeros,
 )
 
 
@@ -43,16 +42,16 @@ def test_flatten_unflatten_round_trip():
 
 
 def test_immutable():
-    t = zeros([2, 2])
+    t = Tensor(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         t.data[0, 0] = 1.0
 
 
 def test_concat_lengths():
-    a = zeros([32])
-    b = zeros([32])
+    a = Tensor(np.zeros(32))
+    b = Tensor(np.zeros(32))
     assert concat_last_axis(a, b).shape == (64,)
-    assert concat_last_axis(zeros([64]), zeros([64])).shape == (128,)
+    assert concat_last_axis(Tensor(np.zeros(64)), Tensor(np.zeros(64))).shape == (128,)
 
 
 def test_concat_preserves_order_and_values():
@@ -75,7 +74,7 @@ def test_concat_empty_operand_is_identity():
 
 def test_concat_rank_mismatch():
     with pytest.raises(RankMismatchError):
-        concat_last_axis(zeros([2, 2]), zeros([4]))
+        concat_last_axis(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
 
 
 def test_quant_params_validation():
