@@ -7,28 +7,22 @@ ceiling, printing the chosen per-layer precisions at each point.
 
 Run: python demos/03_bit_allocation.py
 """
-import numpy as np
-
 from tinymm import (
     budget_sweep,
     build_problem,
     build_reference,
-    build_sensitivity_table,
     cost_report,
     solve_brute_force,
     solve_exact,
 )
-from tinymm.tensor import Tensor
+from tinymm.graph import sensitivity_table
 
 graph = build_reference("covid")
 report = cost_report(graph)
 
-# sensitivity scores straight from the model's weights
-weights = {}
-for layer in graph.weighted_layers:
-    parts = [t.data.reshape(-1) for k, t in graph.weights[layer.name].items() if k != "b"]
-    weights[layer.name] = Tensor(np.concatenate(parts))
-table = build_sensitivity_table(weights)
+# sensitivity scores straight from the model's weights, each tensor at the
+# scale the quantized plan gives it
+table = sensitivity_table(graph)
 
 problem = build_problem(report, table)
 all4 = sum(min(l.size_bits) for l in problem.layers)

@@ -17,7 +17,6 @@ from tinymm import (
     MfccConfig,
     build_problem,
     build_reference,
-    build_sensitivity_table,
     calibrate,
     chunk_audio,
     cost_report,
@@ -28,7 +27,7 @@ from tinymm import (
     solve_exact,
 )
 from tinymm.blob import payload_size, read_blob, write_blob
-from tinymm.graph import plan_from_records, plan_to_records
+from tinymm.graph import plan_from_records, plan_to_records, sensitivity_table
 from tinymm.tensor import Tensor
 
 workdir = Path(tempfile.mkdtemp())
@@ -66,12 +65,8 @@ cal_pairs = [inputs] + [
 stats = calibrate(graph, cal_pairs)
 
 report = cost_report(graph)
-weights = {}
-for layer in graph.weighted_layers:
-    parts = [t.data.reshape(-1) for k, t in graph.weights[layer.name].items() if k != "b"]
-    weights[layer.name] = Tensor(np.concatenate(parts))
 budget = int(sum(l.params for l in report.layers) * 6)  # between all-4 and all-8
-problem = build_problem(report, build_sensitivity_table(weights), budget)
+problem = build_problem(report, sensitivity_table(graph), budget)
 assignment = solve_exact(problem)
 print("\nbudgeted bit assignment:", assignment.bits)
 

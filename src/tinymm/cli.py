@@ -43,7 +43,6 @@ from .errors import (
     MissingCalibrationError,
     TinymmError,
 )
-from .quantize import build_sensitivity_table
 from .reference_models import (
     DEFAULT_SEED,
     REFERENCE_NAMES,
@@ -185,12 +184,7 @@ def cmd_inspect(args) -> int:
 def cmd_allocate(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
     report = g.cost_report(graph)
-    weights = {}
-    for layer in graph.weighted_layers:
-        parts = [t.data.reshape(-1) for k, t in graph.weights[layer.name].items() if k != "b"]
-        weights[layer.name] = Tensor(np.concatenate(parts))
-    table = build_sensitivity_table(weights, (4, 8), graph.sensitivity_overrides)
-    problem = alloc.build_problem(report, table, args.size_budget, args.bops_budget)
+    problem = alloc.build_problem(report, g.sensitivity_table(graph), args.size_budget, args.bops_budget)
     for i, layer in enumerate(graph.weighted_layers):
         if isinstance(layer.bit_policy, int):  # config pins this layer's width
             c = problem.layers[i]

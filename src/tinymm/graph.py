@@ -9,10 +9,15 @@ Batch-norm layers are folded into the preceding convolution at load time
 (w' = w * g / sqrt(var + eps), b' = (b - mean) * g / sqrt(var + eps) + beta,
 eps = 1e-3) and removed from the graph.
 
-Inference runs either in float32 or fully quantized. In quantized mode
-every hidden tensor stays integer; activations are requantized where two
-precisions meet (between layers of different widths and at the concat),
-and values are dequantized only at the softmax input.
+Inference runs either in float32 or fully quantized, through one walk of
+the topology (`_forward`: inputs, branch chains, concat, head) to which
+each mode supplies how an input enters, one per-layer step and how the
+branches join. In quantized mode every hidden tensor stays integer;
+activations are requantized where two precisions meet (between layers of
+different widths and at the concat), and values are dequantized only at
+the softmax input. Calibration is an observer on the float walk that
+records each edge's min/max. A quantized plan is bound layer by layer by
+one binder, whether it is prepared from calibration or read from a blob.
 """
 from __future__ import annotations
 
@@ -38,9 +43,12 @@ from .errors import (
 )
 from .quantize import (
     CalibrationStats,
+    SensitivityTable,
     affine_params,
+    build_sensitivity_table,
+    dequantize,
     quantize_array,
-    symmetric_params,
+    quantize_tensor,
 )
 from .tensor import QuantParams, QuantTensor, Tensor, concat_last_axis
 
@@ -493,7 +501,7 @@ def cost_report(graph: ModelGraph) -> CostReport:
     return report
 
 
-# -- float execution ----------------------------------------------------------
+# -- one graph walk --------------------------------------------------------------
 
 def _map_branches(run, chains, parallel: bool) -> list:
     """run(chain) per input branch, in order; two threads give identical results."""
@@ -503,67 +511,61 @@ def _map_branches(run, chains, parallel: bool) -> list:
         return list(pool.map(run, chains))
 
 
-def _eval_float(
-    graph: ModelGraph,
-    layer: LayerSpec,
-    value: Tensor,
-    record: dict[str, CalibrationStats] | None,
-) -> Tensor:
+def _forward(graph: ModelGraph, pair: dict[str, Tensor], ctx, enter, step, join,
+             parallel: bool = False, observe=None):
+    """inputs -> branch chains -> concat -> head; returns the softmax output.
+
+    enter(name, tensor) gives a branch's first value, step(ctx, layer,
+    value, observe) runs one layer and join(a, b) is the concat. ctx (the
+    graph or the plan) is passed to step rather than bound into it, which
+    saves a partial-object call per layer. observe(edge, value), when
+    given, sees every edge (step reports a ds layer's inner `<name>.dw`),
+    and the branches then run sequentially.
+    """
+    def walk(chain, value):
+        if observe is not None:
+            observe(chain[0], value)
+        for name in chain[1:]:
+            value = step(ctx, graph.layer(name), value, observe)
+            if observe is not None:
+                observe(name, value)
+        return value
+
+    a, b = _map_branches(lambda c: walk(c, enter(c[0], pair[c[0]])),
+                         graph.branch_chains, parallel and observe is None)
+    return walk(graph.head_chain, join(a, b))
+
+
+def _float_step(graph: ModelGraph, layer: LayerSpec, v: Tensor, see) -> Tensor:
     if layer.kind == "conv2d":
         w = graph.weights[layer.name]
-        out = K.conv2d_fp(value, w["w"], w["b"], layer.conv)
-    elif layer.kind == "ds_conv2d":
+        return K.conv2d_fp(v, w["w"], w["b"], layer.conv)
+    if layer.kind == "ds_conv2d":
         w = graph.weights[layer.name]
-        mid = K.depthwise_conv2d_fp(value, w["dw"], layer.conv)
-        if record is not None:
-            record.setdefault(f"{layer.name}.dw", CalibrationStats()).update(mid.data)
-        out = K.pointwise_conv2d_fp(mid, w["pw"], w["b"])
-    elif layer.kind == "dense":
+        mid = K.depthwise_conv2d_fp(v, w["dw"], layer.conv)
+        if see is not None:
+            see(f"{layer.name}.dw", mid)
+        return K.pointwise_conv2d_fp(mid, w["pw"], w["b"])
+    if layer.kind == "dense":
         w = graph.weights[layer.name]
-        out = K.dense_fp(value, w["w"], w["b"])
-    elif layer.kind == "maxpool":
-        out = K.maxpool2d(value, layer.pool)
-    elif layer.kind == "relu":
-        out = K.relu(value)
-    elif layer.kind == "flatten":
-        out = K.flatten(value)
-    elif layer.kind == "dropout":
-        out = value  # inference-time identity
-    elif layer.kind == "softmax":
-        out = K.softmax(value)
-    else:
-        raise ParseError(f"cannot execute layer kind {layer.kind!r}")
-    if record is not None:
-        record.setdefault(layer.name, CalibrationStats()).update(out.data)
-    return out
+        return K.dense_fp(v, w["w"], w["b"])
+    if layer.kind == "maxpool":
+        return K.maxpool2d(v, layer.pool)
+    if layer.kind == "relu":
+        return K.relu(v)
+    if layer.kind == "flatten":
+        return K.flatten(v)
+    if layer.kind == "dropout":
+        return v  # inference-time identity
+    if layer.kind == "softmax":
+        return K.softmax(v)
+    raise ParseError(f"cannot execute layer kind {layer.kind!r}")
 
 
-def _run_branch_float(graph, chain, value, record):
-    for name in chain[1:]:
-        value = _eval_float(graph, graph.layer(name), value, record)
-    return value
-
-
-def _run_float(
-    graph: ModelGraph,
-    inputs: dict[str, Tensor],
-    record: dict[str, CalibrationStats] | None = None,
-    parallel: bool = False,
-) -> Tensor:
-    starts = {}
-    for name in graph.input_names:
-        starts[name] = inputs[name]
-        if record is not None:
-            record.setdefault(name, CalibrationStats()).update(inputs[name].data)
-    va, vb = _map_branches(  # calibration records stats, so it runs sequentially
-        lambda c: _run_branch_float(graph, c, starts[c[0]], record),
-        graph.branch_chains, parallel and record is None)
-    value = concat_last_axis(va, vb)
-    if record is not None:
-        record.setdefault(graph.concat_name, CalibrationStats()).update(value.data)
-    for name in graph.head_chain[1:]:
-        value = _eval_float(graph, graph.layer(name), value, record)
-    return value
+def _run_float(graph: ModelGraph, pair: dict[str, Tensor], parallel: bool = False,
+               observe=None) -> Tensor:
+    return _forward(graph, pair, graph, lambda name, t: t, _float_step,
+                    concat_last_axis, parallel, observe)
 
 
 def calibrate(
@@ -573,8 +575,12 @@ def calibrate(
     if not calibration_inputs:
         raise EmptyCalibrationSetError("calibration needs at least one input pair")
     stats: dict[str, CalibrationStats] = {}
+
+    def observe(edge: str, value: Tensor) -> None:
+        stats.setdefault(edge, CalibrationStats()).update(value.data)
+
     for pair in calibration_inputs:
-        _run_float(graph, _as_input_dict(graph, pair), record=stats, parallel=False)
+        _run_float(graph, _as_input_dict(graph, pair), observe=observe)
     return stats
 
 
@@ -619,6 +625,28 @@ def _first_weighted_bits(graph, chain, assignment, default=8) -> int:
     return default
 
 
+def _bind_layer(plan: QuantizedPlan, layer: LayerSpec, qws: dict[str, QuantTensor],
+                bias: Tensor) -> None:
+    """Record a weighted layer's bits and weights in a plan that already holds
+    its edge params, after checking its pin and accumulator bound. The bias
+    is quantized at the scale of the products it joins: (mid or in) x last weight."""
+    name = layer.name
+    last = list(qws.values())[-1]
+    bits = _layer_bits(layer, {name: last.params.bits})
+    if layer.kind == "ds_conv2d":
+        terms = (layer.conv.kernel_size ** 2, layer.conv.in_channels)
+        in_scale = plan.mid_params[name].scale
+    else:
+        terms = (layer.conv.kernel_size ** 2 * layer.conv.in_channels
+                 if layer.kind == "conv2d" else layer.dense.in_features,)
+        in_scale = plan.in_params[name].scale
+    for n in terms:
+        ik.check_accumulator(n, bits)
+    plan.assignment[name] = bits
+    plan.qweights[name] = qws
+    plan.qbiases[name] = ik.quantize_bias(bias, in_scale, last.params.scale)
+
+
 def prepare_quantized_plan(
     graph: ModelGraph,
     assignment: dict[str, int],
@@ -631,48 +659,25 @@ def prepare_quantized_plan(
         concat_params=QuantParams(1.0, 0, 8),
     )
 
-    def quant_weight(t: Tensor, bits: int) -> QuantTensor:
-        params = symmetric_params(float(np.abs(t.data).max()), bits)
-        return QuantTensor(quantize_array(t.data, params), params)
-
-    def walk(chain: list[str], cur: QuantParams, cur_edge: str) -> tuple[QuantParams, str]:
+    def walk(chain: list[str], cur: QuantParams, cur_edge: str) -> None:
         for name in chain:
             layer = graph.layer(name)
             if layer.kind in WEIGHTED_KINDS:
                 bits = _layer_bits(layer, assignment)
-                plan.assignment[name] = bits
                 if cur.bits != bits:
                     cur = affine_params(_stats_for(stats, cur_edge), bits)
                 plan.in_params[name] = cur
-                out = affine_params(_stats_for(stats, name), bits)
-                w = graph.weights[name]
+                plan.out_params[name] = affine_params(_stats_for(stats, name), bits)
                 if layer.kind == "ds_conv2d":
-                    dw = quant_weight(w["dw"], bits)
-                    pw = quant_weight(w["pw"], bits)
-                    mid = affine_params(_stats_for(stats, f"{name}.dw"), bits)
-                    plan.qweights[name] = {"dw": dw, "pw": pw}
-                    plan.mid_params[name] = mid
-                    plan.qbiases[name] = ik.quantize_bias(w["b"], mid.scale, pw.params.scale)
-                    ik.check_accumulator(layer.conv.kernel_size ** 2, bits)
-                    ik.check_accumulator(layer.conv.in_channels, bits)
-                else:
-                    qw = quant_weight(w["w"], bits)
-                    plan.qweights[name] = {"w": qw}
-                    plan.qbiases[name] = ik.quantize_bias(w["b"], cur.scale, qw.params.scale)
-                    terms = (
-                        layer.conv.kernel_size ** 2 * layer.conv.in_channels
-                        if layer.kind == "conv2d"
-                        else layer.dense.in_features
-                    )
-                    ik.check_accumulator(terms, bits)
-                plan.out_params[name] = out
-                cur = out
+                    plan.mid_params[name] = affine_params(_stats_for(stats, f"{name}.dw"), bits)
+                w = graph.weights[name]
+                qws = {k: quantize_tensor(t, bits) for k, t in w.items() if k != "b"}
+                _bind_layer(plan, layer, qws, w["b"])
+                cur = plan.out_params[name]
             cur_edge = name
-        return cur, cur_edge
 
-    ca, cb = graph.branch_chains
     head_bits = _first_weighted_bits(graph, graph.head_chain, assignment)
-    for chain in (ca, cb):
+    for chain in graph.branch_chains:
         start_bits = _first_weighted_bits(graph, chain + graph.head_chain, assignment)
         cur = affine_params(_stats_for(stats, chain[0]), start_bits)
         plan.input_params[chain[0]] = cur
@@ -682,26 +687,21 @@ def prepare_quantized_plan(
     return plan
 
 
-def _eval_int(graph: ModelGraph, plan: QuantizedPlan, layer: LayerSpec, q: QuantTensor):
+def _int_step(plan: QuantizedPlan, layer: LayerSpec, q: QuantTensor, see):
     if layer.kind in WEIGHTED_KINDS:
-        want = plan.in_params[layer.name]
+        name = layer.name
+        want = plan.in_params[name]
         if q.params != want:
             q = ik.requantize_tensor(q, want)
+        w, bias, out = plan.qweights[name], plan.qbiases[name], plan.out_params[name]
         if layer.kind == "conv2d":
-            return ik.conv2d_int(
-                q, plan.qweights[layer.name]["w"], plan.qbiases[layer.name],
-                plan.out_params[layer.name], layer.conv,
-            )
+            return ik.conv2d_int(q, w["w"], bias, out, layer.conv)
         if layer.kind == "ds_conv2d":
-            w = plan.qweights[layer.name]
-            return ik.depthwise_separable_conv2d_int(
-                q, w["dw"], w["pw"], plan.qbiases[layer.name],
-                plan.mid_params[layer.name], plan.out_params[layer.name], layer.conv,
-            )
-        return ik.dense_int(
-            q, plan.qweights[layer.name]["w"], plan.qbiases[layer.name],
-            plan.out_params[layer.name],
-        )
+            mid = ik.depthwise_conv2d_int(q, w["dw"], plan.mid_params[name], layer.conv)
+            if see is not None:
+                see(f"{name}.dw", mid)
+            return ik.pointwise_conv2d_int(mid, w["pw"], bias, out)
+        return ik.dense_int(q, w["w"], bias, out)
     if layer.kind == "maxpool":
         return ik.maxpool2d_int(q, layer.pool)
     if layer.kind == "relu":
@@ -710,35 +710,27 @@ def _eval_int(graph: ModelGraph, plan: QuantizedPlan, layer: LayerSpec, q: Quant
         return ik.flatten_int(q)
     if layer.kind == "dropout":
         return q
+    if layer.kind == "softmax":
+        return K.softmax(dequantize(q))
     raise ParseError(f"cannot execute layer kind {layer.kind!r} in integer mode")
-
-
-def _run_branch_int(graph, plan, chain, value: Tensor) -> QuantTensor:
-    params = plan.input_params[chain[0]]
-    q = QuantTensor(quantize_array(value.data, params), params)
-    for name in chain[1:]:
-        q = _eval_int(graph, plan, graph.layer(name), q)
-    return q
 
 
 def _run_quantized(
     graph: ModelGraph,
     plan: QuantizedPlan,
-    inputs: dict[str, Tensor],
+    pair: dict[str, Tensor],
     parallel: bool = False,
 ) -> Tensor:
-    qa, qb = _map_branches(
-        lambda c: _run_branch_int(graph, plan, c, inputs[c[0]]), graph.branch_chains, parallel)
-    qa = ik.requantize_tensor(qa, plan.concat_params)
-    qb = ik.requantize_tensor(qb, plan.concat_params)
-    q = QuantTensor(np.concatenate([qa.qdata, qb.qdata]), plan.concat_params)
-    for name in graph.head_chain[1:]:
-        layer = graph.layer(name)
-        if layer.kind == "softmax":
-            vals = (q.qdata.astype(np.float64) - q.params.zero_point) * q.params.scale
-            return K.softmax(Tensor(vals.astype(np.float32)))
-        q = _eval_int(graph, plan, layer, q)
-    raise ParseError("model has no softmax terminal")  # unreachable after validation
+    def enter(name: str, t: Tensor) -> QuantTensor:
+        params = plan.input_params[name]
+        return QuantTensor(quantize_array(t.data, params), params)
+
+    def join(qa: QuantTensor, qb: QuantTensor) -> QuantTensor:
+        qa = ik.requantize_tensor(qa, plan.concat_params)
+        qb = ik.requantize_tensor(qb, plan.concat_params)
+        return QuantTensor(np.concatenate([qa.qdata, qb.qdata]), plan.concat_params)
+
+    return _forward(graph, pair, plan, enter, _int_step, join, parallel)
 
 
 # -- public inference ----------------------------------------------------------
@@ -773,7 +765,7 @@ def infer(
     """Run the model end to end; returns the class probability vector."""
     pair = _as_input_dict(graph, inputs)
     if mode == "float32":
-        return _run_float(graph, pair, record=None, parallel=parallel_branches)
+        return _run_float(graph, pair, parallel=parallel_branches)
     if mode == "quantized":
         if plan is None:
             if assignment is None:
@@ -783,6 +775,26 @@ def infer(
             plan = prepare_quantized_plan(graph, assignment, calibration)
         return _run_quantized(graph, plan, pair, parallel=parallel_branches)
     raise ParseError(f"unknown inference mode {mode!r}")
+
+
+# -- sensitivity ------------------------------------------------------------------
+
+def sensitivity_table(graph: ModelGraph) -> SensitivityTable:
+    """The allocator's ω for every weighted layer at 4 and 8 bits.
+
+    Each weight tensor is scored as the plan quantizes it, at its own
+    symmetric scale, so a ds layer's ω is the score of `dw` plus that of
+    `pw`. A layer's `sensitivity_overrides` entry multiplies its sum.
+    """
+    keys = {l.name: [k for k in graph.weights[l.name] if k != "b"] for l in graph.weighted_layers}
+    scores = build_sensitivity_table(
+        {f"{name}.{k}": graph.weights[name][k] for name, ks in keys.items() for k in ks}, (4, 8))
+    table = SensitivityTable()
+    for name, ks in keys.items():
+        scale = graph.sensitivity_overrides.get(name, 1.0)
+        for bits in (4, 8):
+            table.set(name, bits, scale * sum(scores.get(f"{name}.{k}", bits) for k in ks))
+    return table
 
 
 # -- quantized blob serialization ------------------------------------------------
@@ -818,7 +830,11 @@ def plan_to_records(graph: ModelGraph, plan: QuantizedPlan) -> list[Record]:
 
 
 def plan_from_records(graph: ModelGraph, records: dict[str, Record]) -> QuantizedPlan:
-    """Rebuild an executable plan from a quantized blob."""
+    """Rebuild an executable plan from a quantized blob.
+
+    Each layer's weight width must honour its config pin and fit the
+    32-bit accumulator bound, as in `prepare_quantized_plan`.
+    """
     try:
         return _plan_from_records(graph, records)
     except KeyError as exc:
@@ -835,30 +851,18 @@ def _plan_from_records(graph: ModelGraph, records: dict[str, Record]) -> Quantiz
         plan.input_params[name] = _params_from_record(records[f"{name}.params"])
     for layer in graph.weighted_layers:
         name = layer.name
-        keys = ("dw", "pw") if layer.kind == "ds_conv2d" else ("w",)
         qws: dict[str, QuantTensor] = {}
-        bits = None
-        for key in keys:
+        for key in ("dw", "pw") if layer.kind == "ds_conv2d" else ("w",):
             rec = records.get(f"{name}.{key}q")
             if rec is None:
                 raise ShapeMismatchError(f"quantized blob is missing {name}.{key}q")
             bits = 4 if rec.dtype == DTYPE_I4 else 8
             scale = float(records[f"{name}.{key}_scale"].values[0])
-            qws[key] = QuantTensor(
-                rec.values.reshape(rec.shape), QuantParams(scale, 0, bits)
-            )
-        plan.assignment[name] = bits
-        plan.qweights[name] = qws
+            qws[key] = QuantTensor(rec.values.reshape(rec.shape), QuantParams(scale, 0, bits))
         plan.in_params[name] = _params_from_record(records[f"{name}.in_params"])
         plan.out_params[name] = _params_from_record(records[f"{name}.out_params"])
-        bias = Tensor(records[f"{name}.b"].values.reshape(records[f"{name}.b"].shape))
         if layer.kind == "ds_conv2d":
             plan.mid_params[name] = _params_from_record(records[f"{name}.mid_params"])
-            plan.qbiases[name] = ik.quantize_bias(
-                bias, plan.mid_params[name].scale, qws["pw"].params.scale
-            )
-        else:
-            plan.qbiases[name] = ik.quantize_bias(
-                bias, plan.in_params[name].scale, qws["w"].params.scale
-            )
+        bias = records[f"{name}.b"]
+        _bind_layer(plan, layer, qws, Tensor(bias.values.reshape(bias.shape)))
     return plan

@@ -15,10 +15,19 @@ intermediates come out as 331x11x32 and 163x3x16 but converge to the same
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .blob import DTYPE_F32, Record
-from .graph import SCHEMA, ModelGraph, assemble_model
+from .graph import (
+    SCHEMA,
+    ModelGraph,
+    _expected_records,
+    _infer_shapes,
+    _parse_layer,
+    assemble_model,
+)
 
 DEFAULT_SEED = 7
 
@@ -164,65 +173,32 @@ def reference_config(name: str) -> dict:
     raise KeyError(f"unknown reference model {name!r}; choose from {REFERENCE_NAMES}")
 
 
-def _he_normal(rng, shape, fan_in):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
+def _he_normal(rng, shape):
+    """Weight draw (w, dw, pw): fan-in is every axis but the output one."""
+    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[:-1])), size=shape)
+
+
+# seeded draw per record suffix; any other suffix is a weight tensor
+_DRAWS = {
+    "b": lambda rng, shape: rng.normal(0.0, 0.01, size=shape),
+    "gamma": lambda rng, shape: rng.uniform(0.9, 1.1, size=shape),
+    "beta": lambda rng, shape: rng.normal(0.0, 0.05, size=shape),
+    "mean": lambda rng, shape: rng.normal(0.0, 0.05, size=shape),
+    "var": lambda rng, shape: rng.uniform(0.8, 1.2, size=shape),
+}
 
 
 def reference_weight_records(name: str, seed: int = DEFAULT_SEED) -> list[Record]:
-    """Seeded random weights for every layer of a reference config."""
+    """Seeded random weights for every record a reference config expects."""
     config = reference_config(name)
+    layers = [_parse_layer(d) for d in config["layers"]]
+    shapes = _infer_shapes(layers, config["layers"])
     rng = np.random.default_rng(seed)
     records: list[Record] = []
-    shapes: dict[str, tuple[int, ...]] = {}
-
-    def put(rec_name, values):
-        arr = np.asarray(values, dtype=np.float32)
-        records.append(Record(rec_name, DTYPE_F32, arr.shape, arr.reshape(-1)))
-
-    for doc in config["layers"]:
-        lname, kind = doc["name"], doc["kind"]
-        if kind == "input":
-            shapes[lname] = tuple(doc["shape"])
-            continue
-        src = shapes[doc["inputs"][0]] if doc.get("inputs") else shapes[lname]
-        if kind == "conv2d":
-            k, n, m = int(doc["kernel_size"]), int(doc["out_channels"]), src[2]
-            put(f"{lname}.w", _he_normal(rng, (k, k, m, n), k * k * m))
-            put(f"{lname}.b", rng.normal(0.0, 0.01, size=n))
-            h = src[0] if doc.get("padding") == "same" else src[0] - k + 1
-            w = src[1] if doc.get("padding") == "same" else src[1] - k + 1
-            shapes[lname] = (h, w, n)
-        elif kind == "ds_conv2d":
-            k, n, m = int(doc["kernel_size"]), int(doc["out_channels"]), src[2]
-            put(f"{lname}.dw", _he_normal(rng, (k, k, m), k * k))
-            put(f"{lname}.pw", _he_normal(rng, (1, 1, m, n), m))
-            put(f"{lname}.b", rng.normal(0.0, 0.01, size=n))
-            h = src[0] if doc.get("padding") == "same" else src[0] - k + 1
-            w = src[1] if doc.get("padding") == "same" else src[1] - k + 1
-            shapes[lname] = (h, w, n)
-        elif kind == "batchnorm":
-            c = src[-1]
-            put(f"{lname}.gamma", rng.uniform(0.9, 1.1, size=c))
-            put(f"{lname}.beta", rng.normal(0.0, 0.05, size=c))
-            put(f"{lname}.mean", rng.normal(0.0, 0.05, size=c))
-            put(f"{lname}.var", rng.uniform(0.8, 1.2, size=c))
-            shapes[lname] = src
-        elif kind == "dense":
-            k, l = src[0], int(doc["out_features"])
-            put(f"{lname}.w", _he_normal(rng, (k, l), k))
-            put(f"{lname}.b", rng.normal(0.0, 0.01, size=l))
-            shapes[lname] = (l,)
-        elif kind == "maxpool":
-            p = int(doc["pool_size"])
-            shapes[lname] = (src[0] // p, src[1] // p, src[2])
-        elif kind == "flatten":
-            shapes[lname] = (int(np.prod(src)),)
-        elif kind == "concat":
-            a = shapes[doc["inputs"][0]]
-            b = shapes[doc["inputs"][1]]
-            shapes[lname] = (a[0] + b[0],)
-        else:  # relu, dropout, softmax
-            shapes[lname] = src
+    for layer in layers:
+        for rec_name, shape in _expected_records(layer, shapes).items():
+            values = _DRAWS.get(rec_name.rsplit(".", 1)[1], _he_normal)(rng, shape)
+            records.append(Record(rec_name, DTYPE_F32, shape, values.astype(np.float32).reshape(-1)))
     return records
 
 

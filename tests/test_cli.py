@@ -13,7 +13,7 @@ from tinymm.audio import AudioClip, save_wav
 from tinymm.blob import read_blob, write_blob
 from tinymm.cli import main
 from tinymm.costs import model_size_bits
-from tinymm.graph import cost_report
+from tinymm.graph import cost_report, sensitivity_table
 from tinymm.image import save_ppm
 from tinymm.reference_models import build_reference, reference_config, reference_weight_records
 
@@ -117,6 +117,9 @@ def test_allocate_boundary_budgets(tmp_path):
     doc = json.loads(out.read_text())
     assert all(b == 4 for b in doc["bits"].values())
     assert doc["size_bits"] == all4
+    # the objective scores each ds layer's dw and pw at their own scales
+    table = sensitivity_table(build_reference("covid"))
+    assert doc["objective"] == pytest.approx(sum(table.get(n, 4) for n in names), rel=1e-12)
 
 
 def test_allocate_infeasible_exit_3():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tinymm.blob import DTYPE_F32, Record, write_blob
+from tinymm.blob import DTYPE_F32, DTYPE_I8, Record, write_blob
 from tinymm.errors import (
+    AccumulatorOverflowError,
     DanglingWeightsError,
     EmptyCalibrationSetError,
     MissingAssignmentError,
@@ -14,6 +15,7 @@ from tinymm.errors import (
     TinymmError,
 )
 from tinymm.graph import (
+    SCHEMA,
     assemble_model,
     calibrate,
     cost_report,
@@ -22,8 +24,10 @@ from tinymm.graph import (
     plan_from_records,
     plan_to_records,
     prepare_quantized_plan,
+    sensitivity_table,
 )
 from tinymm.kernels import conv2d_fp, relu
+from tinymm.quantize import layer_sensitivity
 from tinymm.reference_models import (
     build_reference,
     reference_config,
@@ -230,10 +234,18 @@ def test_calibrate_empty_set():
 
 
 def test_calibrate_records_depthwise_stage():
-    graph = tiny_model()
+    # one edge per input, per layer (the concat included) and per ds layer's
+    # depthwise stage; the softmax edge is exactly the inference output
     rng = np.random.default_rng(3)
-    stats = calibrate(graph, [_rand_inputs(graph, rng)])
-    assert "b_sep.dw" in stats
+    for graph in (tiny_model(), build_reference("covid"), build_reference("battlefield")):
+        pair = _rand_inputs(graph, rng)
+        stats = calibrate(graph, [pair])
+        want = {l.name for l in graph.layers}
+        want |= {f"{l.name}.dw" for l in graph.layers if l.kind == "ds_conv2d"}
+        assert set(stats) == want
+        probs = infer(graph, pair).data
+        assert stats[graph.output_name].min_val == float(probs.min())
+        assert stats[graph.output_name].max_val == float(probs.max())
 
 
 # -- inference ---------------------------------------------------------------------
@@ -362,6 +374,59 @@ def test_quantized_plan_blob_round_trip(tmp_path):
     a = infer(graph, pairs[0], mode="quantized", plan=plan)
     b = infer(graph, pairs[0], mode="quantized", plan=rebuilt)
     assert np.array_equal(a.data, b.data)
+
+
+def _quantized_records(graph, bits):
+    rng = np.random.default_rng(12)
+    stats = calibrate(graph, [_rand_inputs(graph, rng)])
+    plan = prepare_quantized_plan(graph, {l.name: bits for l in graph.weighted_layers}, stats)
+    return {r.name: r for r in plan_to_records(graph, plan)}
+
+
+def test_plan_from_records_checks_pins():
+    records = _quantized_records(tiny_model(), 4)
+    config = tiny_config()
+    next(l for l in config["layers"] if l["name"] == "b_sep")["bits"] = 8
+    pinned = assemble_model(config, {r.name: r for r in tiny_records()})
+    with pytest.raises(MissingAssignmentError):
+        plan_from_records(pinned, records)
+
+
+def test_plan_from_records_checks_accumulator_bound():
+    # 32,897 products of 8-bit operands can overflow a 32-bit accumulator
+    config = {"schema": SCHEMA, "name": "wide", "layers": [
+        {"name": "a_in", "kind": "input", "shape": [32897]},
+        {"name": "a_fc", "kind": "dense", "inputs": ["a_in"], "out_features": 2},
+        {"name": "b_in", "kind": "input", "shape": [2]},
+        {"name": "b_fc", "kind": "dense", "inputs": ["b_in"], "out_features": 2},
+        {"name": "join", "kind": "concat", "inputs": ["a_fc", "b_fc"]},
+        {"name": "h_fc", "kind": "dense", "inputs": ["join"], "out_features": 2},
+        {"name": "probs", "kind": "softmax", "inputs": ["h_fc"]},
+    ]}
+    rng = np.random.default_rng(13)
+    shapes = {"a_fc.w": (32897, 2), "b_fc.w": (2, 2), "h_fc.w": (4, 2),
+              "a_fc.b": (2,), "b_fc.b": (2,), "h_fc.b": (2,)}
+    graph = assemble_model(config, {
+        n: Record(n, DTYPE_F32, s, rng.normal(size=s).astype(np.float32).reshape(-1))
+        for n, s in shapes.items()
+    })
+    records = _quantized_records(graph, 4)
+    wq = records["a_fc.wq"]
+    records["a_fc.wq"] = Record(wq.name, DTYPE_I8, wq.shape, wq.values)  # claims 8 bits
+    with pytest.raises(AccumulatorOverflowError):
+        plan_from_records(graph, records)
+
+
+def test_sensitivity_table_scores_what_the_plan_quantizes():
+    config = tiny_config()
+    config["sensitivity_overrides"] = {"b_sep": 3.0}
+    graph = assemble_model(config, {r.name: r for r in tiny_records()})
+    table = sensitivity_table(graph)
+    w = graph.weights
+    for bits in (4, 8):
+        sep = layer_sensitivity(w["b_sep"]["dw"], bits) + layer_sensitivity(w["b_sep"]["pw"], bits)
+        assert table.get("b_sep", bits) == pytest.approx(3.0 * sep, rel=1e-12)
+        assert table.get("a_conv", bits) == layer_sensitivity(w["a_conv"]["w"], bits)
 
 
 def test_reference_weights_deterministic_per_seed():
