@@ -21,9 +21,10 @@ rng = np.random.default_rng(0)
 rate = 22050
 t = np.arange(5 * rate) / rate
 wave = 0.3 * np.sin(2 * np.pi * 440 * t) + 0.05 * rng.normal(size=t.size)
-path = Path(tempfile.mkdtemp()) / "tone.wav"
-save_wav(path, AudioClip(wave, rate))
-clip = load_wav(path)
+with tempfile.TemporaryDirectory() as workdir:
+    path = Path(workdir) / "tone.wav"
+    save_wav(path, AudioClip(wave, rate))
+    clip = load_wav(path)
 print(f"loaded {path.name}: {clip.samples.size} samples @ {clip.sample_rate} Hz "
       f"({clip.duration:.2f} s)")
 

@@ -30,7 +30,8 @@ from tinymm.blob import payload_size, read_blob, write_blob
 from tinymm.graph import plan_from_records, plan_to_records, sensitivity_table
 from tinymm.tensor import Tensor
 
-workdir = Path(tempfile.mkdtemp())
+scratch = tempfile.TemporaryDirectory()  # removed at the end, or at exit on an error
+workdir = Path(scratch.name)
 rng = np.random.default_rng(7)
 graph = build_reference("covid")
 
@@ -87,3 +88,4 @@ reloaded = plan_from_records(graph, read_blob(blob_path))
 rprobs = infer(graph, inputs, mode="quantized", plan=reloaded)
 assert np.array_equal(qprobs.data, rprobs.data)
 print("reloaded blob reproduces the quantized output bit for bit")
+scratch.cleanup()

@@ -1,7 +1,7 @@
 """Per-layer bit allocation under size and compute budgets.
 
-Chooses x_i in {4, 8} (or any per-layer option set) minimizing the summed
-sensitivity score subject to
+Chooses x_i from each layer's option set, normally {4, 8}, minimizing the
+summed sensitivity score subject to
 
     sum_i params_i * x_i      <= size budget (bits)
     sum_i macs_i * x_i * x_i  <= BOPS budget
@@ -14,6 +14,11 @@ size or BOPS cannot meet a budget. Ties therefore resolve to the
 assignment that is lexicographically higher-precision from the first
 layer. A plain enumeration solver with the same contract is kept as a
 correctness oracle.
+
+`build_problem` takes each layer's options from the widths its
+sensitivity table scores; `graph.sensitivity_table` scores a layer that
+the model config pins at its pinned width only, so a pin is a layer with a
+single option here, whichever caller builds the problem.
 """
 from __future__ import annotations
 
@@ -81,15 +86,19 @@ def build_problem(
     table: SensitivityTable,
     size_budget_bits: int | None = None,
     bops_budget: int | None = None,
-    options: tuple[int, ...] = (4, 8),
 ) -> AllocatorProblem:
-    """Assemble a problem from cost and sensitivity data for a model."""
+    """Assemble a problem from cost and sensitivity data for a model.
+
+    A layer's options are the widths the table scores for it, so a layer
+    the table scores at one width only (a config pin) has that one option.
+    """
     layers = []
     for cost in report.layers:
+        options = tuple(sorted(table.omega[cost.name]))
         omegas = tuple(table.get(cost.name, b) for b in options)
         sizes = tuple(cost.params * b for b in options)
         bop = tuple(cost.macs * b * b for b in options)
-        layers.append(LayerChoice(cost.name, tuple(options), omegas, sizes, bop))
+        layers.append(LayerChoice(cost.name, options, omegas, sizes, bop))
     return AllocatorProblem(layers, size_budget_bits, bops_budget)
 
 
@@ -208,52 +217,6 @@ def budget_sweep(
 
 # -- serialization -----------------------------------------------------------
 
-def problem_to_dict(p: AllocatorProblem, report: CostReport | None = None) -> dict:
-    layers = []
-    by_name = {c.name: c for c in report.layers} if report is not None else {}
-    for layer in p.layers:
-        entry: dict = {
-            "name": layer.name,
-            "options": list(layer.options),
-            "omega": {str(b): w for b, w in zip(layer.options, layer.omega)},
-        }
-        if layer.name in by_name:
-            entry["params"] = by_name[layer.name].params
-            entry["macs"] = by_name[layer.name].macs
-        else:
-            entry["size_bits"] = list(layer.size_bits)
-            entry["bops"] = list(layer.bops)
-        layers.append(entry)
-    out: dict = {"schema": "tinymm-allocator-v1", "layers": layers}
-    if p.size_budget_bits is not None:
-        out["size_budget_bits"] = p.size_budget_bits
-    if p.bops_budget is not None:
-        out["bops_budget"] = p.bops_budget
-    return out
-
-
-def problem_from_dict(doc: dict) -> AllocatorProblem:
-    try:
-        layers = []
-        for entry in doc["layers"]:
-            options = tuple(int(b) for b in entry.get("options", (4, 8)))
-            omega = tuple(float(entry["omega"][str(b)]) for b in options)
-            if "params" in entry:
-                sizes = tuple(int(entry["params"]) * b for b in options)
-                bop = tuple(int(entry["macs"]) * b * b for b in options)
-            else:
-                sizes = tuple(int(s) for s in entry["size_bits"])
-                bop = tuple(int(s) for s in entry["bops"])
-            layers.append(LayerChoice(entry["name"], options, omega, sizes, bop))
-        return AllocatorProblem(
-            layers,
-            doc.get("size_budget_bits"),
-            doc.get("bops_budget"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad allocator problem document: {exc}") from exc
-
-
 def assignment_to_dict(a: BitAssignment) -> dict:
     return {
         "schema": "tinymm-assignment-v1",
@@ -276,23 +239,7 @@ def assignment_from_dict(doc: dict) -> BitAssignment:
         raise ParseError(f"bad assignment document: {exc}") from exc
 
 
-def load_problem(path) -> AllocatorProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
-
-
-def save_problem(path, p: AllocatorProblem, report: CostReport | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(p, report), fh, indent=2)
-        fh.write("\n")
-
-
 def load_assignment(path) -> BitAssignment:
     with open(path, "r", encoding="utf-8") as fh:
         return assignment_from_dict(json.load(fh))
 
-
-def save_assignment(path, a: BitAssignment) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(assignment_to_dict(a), fh, indent=2)
-        fh.write("\n")

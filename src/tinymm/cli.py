@@ -96,8 +96,6 @@ def _input_source(graph: g.ModelGraph, name: str) -> dict:
 
 def _prep_audio(graph: g.ModelGraph, name: str, path: str) -> Tensor:
     source = _input_source(graph, name)
-    if source.get("type") != "mfcc":
-        raise CliFailure(EXIT_INPUT, f"input {name!r} does not take audio")
     cfg = aud.MfccConfig.from_dict(source)
     clip = aud.load_wav(path)
     if clip.sample_rate != cfg.sample_rate:
@@ -118,41 +116,38 @@ def _prep_audio(graph: g.ModelGraph, name: str, path: str) -> Tensor:
 
 
 def _prep_image(graph: g.ModelGraph, name: str, path: str) -> Tensor:
-    source = _input_source(graph, name)
-    if source.get("type") != "image":
-        raise CliFailure(EXIT_INPUT, f"input {name!r} does not take an image")
     want = graph.shapes[name]
     pixels = img.load_ppm(path)
     return img.image_to_input(pixels, want[0], want[1])
 
 
-def _audio_input_names(graph: g.ModelGraph) -> list[str]:
-    return [n for n in graph.input_names if _input_source(graph, n).get("type") == "mfcc"]
+# per source type: how a media file becomes an input, and the infer flags
+# that name those files, in the order the config lists such inputs
+_PREP = {"mfcc": _prep_audio, "image": _prep_image}
+_FLAGS = {"mfcc": ("audio", "audio2"), "image": ("image",)}
 
 
-def _image_input_names(graph: g.ModelGraph) -> list[str]:
-    return [n for n in graph.input_names if _input_source(graph, n).get("type") == "image"]
+def _media_kind(graph: g.ModelGraph, name: str) -> str:
+    kind = _input_source(graph, name).get("type")
+    if kind not in _PREP:
+        raise CliFailure(EXIT_INPUT, f"input {name!r} has no audio or image source to read")
+    return kind
 
 
 def _gather_inputs(graph: g.ModelGraph, args) -> dict[str, Tensor]:
-    audio_names = _audio_input_names(graph)
-    image_names = _image_input_names(graph)
+    flags = {kind: iter(names) for kind, names in _FLAGS.items()}
     inputs: dict[str, Tensor] = {}
     try:
-        if args.audio is None:
-            raise CliFailure(EXIT_INPUT, "--audio is required")
-        inputs[audio_names[0]] = _prep_audio(graph, audio_names[0], args.audio)
-        if image_names:
-            if args.image is None:
-                raise CliFailure(EXIT_INPUT, "this model needs --image")
-            inputs[image_names[0]] = _prep_image(graph, image_names[0], args.image)
-        else:
-            if args.audio2 is None:
-                raise CliFailure(EXIT_INPUT, "this model needs --audio2")
-            inputs[audio_names[1]] = _prep_audio(graph, audio_names[1], args.audio2)
-    except TinymmError as exc:
-        raise CliFailure(EXIT_INPUT, str(exc)) from exc
-    except OSError as exc:
+        for name in graph.input_names:
+            kind = _media_kind(graph, name)
+            flag = next(flags[kind], None)
+            if flag is None:
+                raise CliFailure(EXIT_INPUT, f"infer has no flag for another {kind} input ({name!r})")
+            path = getattr(args, flag)
+            if path is None:
+                raise CliFailure(EXIT_INPUT, f"input {name!r} needs --{flag}")
+            inputs[name] = _PREP[kind](graph, name, path)
+    except (TinymmError, OSError) as exc:
         raise CliFailure(EXIT_INPUT, str(exc)) from exc
     return inputs
 
@@ -185,13 +180,6 @@ def cmd_allocate(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
     report = g.cost_report(graph)
     problem = alloc.build_problem(report, g.sensitivity_table(graph), args.size_budget, args.bops_budget)
-    for i, layer in enumerate(graph.weighted_layers):
-        if isinstance(layer.bit_policy, int):  # config pins this layer's width
-            c = problem.layers[i]
-            k = c.options.index(layer.bit_policy)
-            problem.layers[i] = alloc.LayerChoice(
-                c.name, (c.options[k],), (c.omega[k],), (c.size_bits[k],), (c.bops[k],)
-            )
     try:
         if args.sweep:
             budgets = sorted(int(b) for b in args.sweep.split(","))
@@ -235,13 +223,8 @@ def _calibration_pairs(graph: g.ModelGraph, cal_dir: str) -> list[dict[str, Tens
             group = stems[stem]
             if set(group) != set(graph.input_names):
                 continue
-            pair = {}
-            for name, path in group.items():
-                if _input_source(graph, name).get("type") == "image":
-                    pair[name] = _prep_image(graph, name, str(path))
-                else:
-                    pair[name] = _prep_audio(graph, name, str(path))
-            pairs.append(pair)
+            pairs.append({name: _PREP[_media_kind(graph, name)](graph, name, str(path))
+                          for name, path in group.items()})
     except (TinymmError, CliFailure) as exc:
         raise CliFailure(EXIT_CALIBRATION, f"calibration input failed: {exc}") from exc
     if not pairs:

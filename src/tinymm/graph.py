@@ -39,6 +39,7 @@ from .errors import (
     MissingAssignmentError,
     MissingCalibrationError,
     ParseError,
+    PrecisionMismatchError,
     ShapeMismatchError,
 )
 from .quantize import (
@@ -327,7 +328,9 @@ def _fold_batchnorm(
     return remaining
 
 
-def _check_dag(layers: list[LayerSpec]) -> tuple[tuple[str, str], str, str]:
+def _check_dag(layers: list[LayerSpec]) -> tuple[tuple[list[str], list[str]], list[str]]:
+    """Check the two-branch shape; return each input's chain up to the
+    concat and the head chain from the concat to the softmax."""
     inputs = [l.name for l in layers if l.kind == "input"]
     concats = [l.name for l in layers if l.kind == "concat"]
     softmaxes = [l.name for l in layers if l.kind == "softmax"]
@@ -339,9 +342,7 @@ def _check_dag(layers: list[LayerSpec]) -> tuple[tuple[str, str], str, str]:
         raise ParseError("model must end in exactly one softmax layer")
     consumers: dict[str, list[str]] = {l.name: [] for l in layers}
     for layer in layers:
-        for src in layer.inputs:
-            if src not in consumers:
-                raise ParseError(f"layer {layer.name!r} consumes unknown layer {src!r}")
+        for src in layer.inputs:  # known: assemble_model checked the order
             consumers[src].append(layer.name)
     for layer in layers:
         n = len(consumers[layer.name])
@@ -352,38 +353,17 @@ def _check_dag(layers: list[LayerSpec]) -> tuple[tuple[str, str], str, str]:
             raise ParseError(
                 f"layer {layer.name!r} must feed exactly one consumer, feeds {n}"
             )
-    # both input chains must reach the concat
-    concat = concats[0]
-    for start in inputs:
-        seen = start
-        while seen != concat:
-            nxt = consumers[seen][0]
-            if nxt == softmaxes[0] and nxt != concat:
-                raise ParseError(f"input {start!r} never reaches the concat layer")
-            seen = nxt
-    return (inputs[0], inputs[1]), concat, softmaxes[0]
-
-
-def _build_chains(
-    layers: list[LayerSpec], input_names: tuple[str, str], concat: str
-) -> tuple[tuple[list[str], list[str]], list[str]]:
-    consumers = {l.name: [] for l in layers}
-    for layer in layers:
-        for src in layer.inputs:
-            consumers[src].append(layer.name)
     chains = []
-    for start in input_names:
+    for start in inputs:
         chain = [start]
-        cur = start
-        while consumers[cur] and consumers[cur][0] != concat:
-            cur = consumers[cur][0]
-            chain.append(cur)
+        while (nxt := consumers[chain[-1]][0]) != concats[0]:
+            if nxt == softmaxes[0]:
+                raise ParseError(f"input {start!r} never reaches the concat layer")
+            chain.append(nxt)
         chains.append(chain)
-    head = [concat]
-    cur = concat
-    while consumers[cur]:
-        cur = consumers[cur][0]
-        head.append(cur)
+    head = [concats[0]]
+    while consumers[head[-1]]:
+        head.append(consumers[head[-1]][0])
     return (chains[0], chains[1]), head
 
 
@@ -441,8 +421,7 @@ def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
         raise DanglingWeightsError(f"blob contains unclaimed records: {sorted(extra)}")
 
     layers = _fold_batchnorm(layers, weights, shapes, bn_params)
-    input_names, concat, output = _check_dag(layers)
-    chains, head = _build_chains(layers, input_names, concat)
+    chains, head = _check_dag(layers)
 
     raw_overrides = config.get("sensitivity_overrides") or {}
     if not isinstance(raw_overrides, dict):
@@ -459,9 +438,9 @@ def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
         layers=layers,
         weights=weights,
         shapes=shapes,
-        input_names=input_names,
-        concat_name=concat,
-        output_name=output,
+        input_names=(chains[0][0], chains[1][0]),
+        concat_name=head[0],
+        output_name=head[-1],
         branch_chains=chains,
         head_chain=head,
         sensitivity_overrides=overrides,
@@ -628,8 +607,9 @@ def _first_weighted_bits(graph, chain, assignment, default=8) -> int:
 def _bind_layer(plan: QuantizedPlan, layer: LayerSpec, qws: dict[str, QuantTensor],
                 bias: Tensor) -> None:
     """Record a weighted layer's bits and weights in a plan that already holds
-    its edge params, after checking its pin and accumulator bound. The bias
-    is quantized at the scale of the products it joins: (mid or in) x last weight."""
+    its edge params, after checking its pin, its accumulator bound and that its
+    weights and edge params share one width. The bias is quantized at the
+    scale of the products it joins: (mid or in) x last weight."""
     name = layer.name
     last = list(qws.values())[-1]
     bits = _layer_bits(layer, {name: last.params.bits})
@@ -642,6 +622,12 @@ def _bind_layer(plan: QuantizedPlan, layer: LayerSpec, qws: dict[str, QuantTenso
         in_scale = plan.in_params[name].scale
     for n in terms:
         ik.check_accumulator(n, bits)
+    edges = (plan.in_params, plan.mid_params, plan.out_params)
+    widths = {q.params.bits for q in qws.values()} | {e[name].bits for e in edges if name in e}
+    if widths != {bits}:
+        raise PrecisionMismatchError(
+            f"layer {name!r} mixes widths {sorted(widths)} across its weights and edge params"
+        )
     plan.assignment[name] = bits
     plan.qweights[name] = qws
     plan.qbiases[name] = ik.quantize_bias(bias, in_scale, last.params.scale)
@@ -780,7 +766,9 @@ def infer(
 # -- sensitivity ------------------------------------------------------------------
 
 def sensitivity_table(graph: ModelGraph) -> SensitivityTable:
-    """The allocator's ω for every weighted layer at 4 and 8 bits.
+    """The allocator's ω for every weighted layer at 4 and 8 bits, or only at
+    its pinned width when the config pins it, so that `build_problem` gives a
+    pinned layer that width as its single option.
 
     Each weight tensor is scored as the plan quantizes it, at its own
     symmetric scale, so a ds layer's ω is the score of `dw` plus that of
@@ -792,7 +780,8 @@ def sensitivity_table(graph: ModelGraph) -> SensitivityTable:
     table = SensitivityTable()
     for name, ks in keys.items():
         scale = graph.sensitivity_overrides.get(name, 1.0)
-        for bits in (4, 8):
+        pin = graph.layer(name).bit_policy
+        for bits in (pin,) if isinstance(pin, int) else (4, 8):
             table.set(name, bits, scale * sum(scores.get(f"{name}.{k}", bits) for k in ks))
     return table
 
@@ -832,37 +821,47 @@ def plan_to_records(graph: ModelGraph, plan: QuantizedPlan) -> list[Record]:
 def plan_from_records(graph: ModelGraph, records: dict[str, Record]) -> QuantizedPlan:
     """Rebuild an executable plan from a quantized blob.
 
-    Each layer's weight width must honour its config pin and fit the
-    32-bit accumulator bound, as in `prepare_quantized_plan`.
+    Each layer's weights and edge params must share one width, which must
+    honour its config pin and fit the 32-bit accumulator bound, as in
+    `prepare_quantized_plan`; a record no layer claims is rejected, as in
+    `assemble_model`.
     """
+    claimed: set[str] = set()
+
+    def take(name: str) -> Record:
+        claimed.add(name)
+        return records[name]
+
     try:
-        return _plan_from_records(graph, records)
+        plan = _plan_from_records(graph, take)
     except KeyError as exc:
         raise ParseError(f"quantized blob is missing record {exc}") from exc
+    extra = set(records) - claimed
+    if extra:
+        raise DanglingWeightsError(f"quantized blob contains unclaimed records: {sorted(extra)}")
+    return plan
 
 
-def _plan_from_records(graph: ModelGraph, records: dict[str, Record]) -> QuantizedPlan:
+def _plan_from_records(graph: ModelGraph, take) -> QuantizedPlan:
     plan = QuantizedPlan(
         assignment={}, qweights={}, qbiases={}, in_params={}, out_params={},
         mid_params={}, input_params={},
-        concat_params=_params_from_record(records[f"{graph.concat_name}.params"]),
+        concat_params=_params_from_record(take(f"{graph.concat_name}.params")),
     )
     for name in graph.input_names:
-        plan.input_params[name] = _params_from_record(records[f"{name}.params"])
+        plan.input_params[name] = _params_from_record(take(f"{name}.params"))
     for layer in graph.weighted_layers:
         name = layer.name
         qws: dict[str, QuantTensor] = {}
         for key in ("dw", "pw") if layer.kind == "ds_conv2d" else ("w",):
-            rec = records.get(f"{name}.{key}q")
-            if rec is None:
-                raise ShapeMismatchError(f"quantized blob is missing {name}.{key}q")
+            rec = take(f"{name}.{key}q")
             bits = 4 if rec.dtype == DTYPE_I4 else 8
-            scale = float(records[f"{name}.{key}_scale"].values[0])
+            scale = float(take(f"{name}.{key}_scale").values[0])
             qws[key] = QuantTensor(rec.values.reshape(rec.shape), QuantParams(scale, 0, bits))
-        plan.in_params[name] = _params_from_record(records[f"{name}.in_params"])
-        plan.out_params[name] = _params_from_record(records[f"{name}.out_params"])
+        plan.in_params[name] = _params_from_record(take(f"{name}.in_params"))
+        plan.out_params[name] = _params_from_record(take(f"{name}.out_params"))
         if layer.kind == "ds_conv2d":
-            plan.mid_params[name] = _params_from_record(records[f"{name}.mid_params"])
-        bias = records[f"{name}.b"]
+            plan.mid_params[name] = _params_from_record(take(f"{name}.mid_params"))
+        bias = take(f"{name}.b")
         _bind_layer(plan, layer, qws, Tensor(bias.values.reshape(bias.shape)))
     return plan

@@ -6,6 +6,7 @@ operation returns a new tensor, so values are safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,8 @@ class QuantParams:
             raise InvalidShapeError("only signed encodings are supported")
         if self.bits not in (4, 8):
             raise InvalidShapeError(f"bits must be 4 or 8, got {self.bits}")
-        if not self.scale > 0:
-            raise InvalidShapeError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # also false for NaN
+            raise InvalidShapeError(f"scale must be finite and positive, got {self.scale}")
         if not self.qmin <= self.zero_point <= self.qmax:
             raise InvalidShapeError(
                 f"zero_point {self.zero_point} outside [{self.qmin}, {self.qmax}]"

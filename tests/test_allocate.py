@@ -7,8 +7,6 @@ from tinymm.allocate import (
     assignment_from_dict,
     assignment_to_dict,
     budget_sweep,
-    problem_from_dict,
-    problem_to_dict,
     solve_brute_force,
     solve_exact,
 )
@@ -163,24 +161,6 @@ def test_determinism():
     a = solve_exact(p)
     b = solve_exact(p)
     assert a == b
-
-
-def test_problem_serialization_round_trip(tmp_path):
-    from tinymm.allocate import load_problem, save_problem
-
-    p = AllocatorProblem(
-        layers=[_layer("a", 1000, 0.9, 0.1, macs=777), _layer("b", 2000, 0.1, 0.02)],
-        size_budget_bits=18_000,
-        bops_budget=99_999_999,
-    )
-    doc = problem_to_dict(p)
-    back = problem_from_dict(doc)
-    assert back.size_budget_bits == p.size_budget_bits
-    assert back.bops_budget == p.bops_budget
-    assert solve_exact(back) == solve_exact(p)
-    path = tmp_path / "problem.json"
-    save_problem(path, p)
-    assert solve_exact(load_problem(path)) == solve_exact(p)
 
 
 def test_assignment_serialization_round_trip():

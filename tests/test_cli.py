@@ -17,7 +17,7 @@ from tinymm.graph import cost_report, sensitivity_table
 from tinymm.image import save_ppm
 from tinymm.reference_models import build_reference, reference_config, reference_weight_records
 
-from model_fixtures import mutated_config
+from model_fixtures import mutated_config, tiny_config, tiny_records
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +248,18 @@ def test_infer_wrong_sample_rate_exit_5(tmp_path, media, capsys):
     rc = main(["infer", "covid", "--audio", str(bad), "--audio2", str(media / "speech.wav")])
     assert rc == 5
     assert "sample rate" in capsys.readouterr().err
+
+
+def test_infer_input_without_media_source_exit_5(tmp_path, media, capsys):
+    # tiny_config's inputs declare no source, so no flag can feed them
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config()))
+    blob = tmp_path / "tiny.tmmw"
+    write_blob(blob, tiny_records())
+    rc = main(["infer", str(cfg), "--weights", str(blob), "--audio", str(media / "cough.wav"),
+               "--audio2", str(media / "speech.wav")])
+    assert rc == 5
+    assert "a_in" in capsys.readouterr().err
 
 
 def test_allocate_quantize_infer_round_trip(tmp_path, media):

@@ -3,14 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from tinymm.allocate import build_problem, solve_exact
 from tinymm.blob import DTYPE_F32, DTYPE_I8, Record, write_blob
 from tinymm.errors import (
     AccumulatorOverflowError,
     DanglingWeightsError,
     EmptyCalibrationSetError,
+    InfeasibleError,
+    InvalidShapeError,
     MissingAssignmentError,
     MissingCalibrationError,
     ParseError,
+    PrecisionMismatchError,
     ShapeMismatchError,
     TinymmError,
 )
@@ -415,6 +419,59 @@ def test_plan_from_records_checks_accumulator_bound():
     records["a_fc.wq"] = Record(wq.name, DTYPE_I8, wq.shape, wq.values)  # claims 8 bits
     with pytest.raises(AccumulatorOverflowError):
         plan_from_records(graph, records)
+
+
+@pytest.mark.parametrize("record", ["b_sep.pwq", "a_fc.in_params", "b_sep.mid_params", "h_fc.out_params"])
+def test_plan_from_records_rejects_a_layer_of_mixed_widths(record):
+    # one 8-bit record in a 4-bit layer used to load and fail only at infer
+    records = _quantized_records(tiny_model(), 4)
+    rec = records[record]
+    if record.endswith("q"):
+        records[record] = Record(record, DTYPE_I8, rec.shape, rec.values)
+    else:
+        scale, zp, _ = rec.values
+        records[record] = Record(record, DTYPE_F32, (3,), np.array([scale, zp, 8], dtype=np.float32))
+    with pytest.raises(PrecisionMismatchError):
+        plan_from_records(tiny_model(), records)
+
+
+def test_plan_from_records_rejects_unclaimed_records():
+    records = _quantized_records(tiny_model(), 8)
+    records["ghost.w"] = Record("ghost.w", DTYPE_F32, (1,), np.zeros(1, dtype=np.float32))
+    with pytest.raises(DanglingWeightsError):
+        plan_from_records(tiny_model(), records)
+
+
+def test_plan_from_records_rejects_an_infinite_scale():
+    records = _quantized_records(tiny_model(), 8)
+    records["a_conv.w_scale"] = Record("a_conv.w_scale", DTYPE_F32, (1,),
+                                       np.array([np.inf], dtype=np.float32))
+    with pytest.raises(InvalidShapeError):
+        plan_from_records(tiny_model(), records)
+
+
+def test_library_allocation_honours_pins():
+    # build_problem(cost_report, sensitivity_table) is the demos' path; a pin
+    # must hold there as it does in `tinymm allocate`
+    config = tiny_config()
+    layers = {l["name"]: l for l in config["layers"]}
+    layers["b_sep"]["bits"] = 4
+    layers["h_fc"]["bits"] = 8
+    graph = assemble_model(config, {r.name: r for r in tiny_records()})
+    table = sensitivity_table(graph)
+    assert set(table.omega["b_sep"]) == {4} and set(table.omega["h_fc"]) == {8}
+    assert set(table.omega["a_conv"]) == {4, 8}
+    report = cost_report(graph)
+    params = {c.name: c.params for c in report.layers}
+    unbounded = solve_exact(build_problem(report, table))
+    assert unbounded.bits["b_sep"] == 4
+    assert all(b == 8 for n, b in unbounded.bits.items() if n != "b_sep")
+    tightest = sum(p * 4 for p in params.values()) + params["h_fc"] * 4
+    squeezed = solve_exact(build_problem(report, table, tightest))
+    assert squeezed.bits["h_fc"] == 8
+    assert all(b == 4 for n, b in squeezed.bits.items() if n != "h_fc")
+    with pytest.raises(InfeasibleError):
+        solve_exact(build_problem(report, table, tightest - 1))
 
 
 def test_sensitivity_table_scores_what_the_plan_quantizes():

@@ -81,8 +81,9 @@ def test_quant_params_validation():
     QuantParams(scale=0.5, zero_point=-8, bits=4)
     with pytest.raises(InvalidShapeError):
         QuantParams(scale=0.5, zero_point=0, bits=5)
-    with pytest.raises(InvalidShapeError):
-        QuantParams(scale=0.0, zero_point=0, bits=8)
+    for scale in (0.0, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(InvalidShapeError):
+            QuantParams(scale=scale, zero_point=0, bits=8)
     with pytest.raises(InvalidShapeError):
         QuantParams(scale=1.0, zero_point=200, bits=8)
     with pytest.raises(InvalidShapeError):
