@@ -228,6 +228,8 @@ def assignment_to_dict(a: BitAssignment) -> dict:
 
 
 def assignment_from_dict(doc: dict) -> BitAssignment:
+    if not isinstance(doc, dict) or not isinstance(doc.get("bits"), dict):
+        raise ParseError("assignment must be an object whose \"bits\" maps layer names to widths")
     try:
         return BitAssignment(
             bits={str(k): int(v) for k, v in doc["bits"].items()},
@@ -235,11 +237,17 @@ def assignment_from_dict(doc: dict) -> BitAssignment:
             size_bits=int(doc.get("size_bits", 0)),
             bops=int(doc.get("bops", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad assignment document: {exc}") from exc
 
 
 def load_assignment(path) -> BitAssignment:
+    """Read an assignment file; a file that is not an assignment document
+    raises ParseError (OSError if it cannot be read)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return assignment_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: not JSON: {exc}") from exc
+    return assignment_from_dict(doc)
 

@@ -36,6 +36,11 @@ _TAGS = {DTYPE_F32: 0, DTYPE_I8: 1, DTYPE_I4: 2}
 _NAMES = {v: k for k, v in _TAGS.items()}
 
 
+def _payload_len(dtype: str, n: int) -> int:
+    """Bytes that n values of dtype take in a record's payload."""
+    return 4 * n if dtype == DTYPE_F32 else n if dtype == DTYPE_I8 else (n + 1) // 2
+
+
 @dataclass
 class Record:
     """One named tensor in a blob; integer payloads are held unpacked."""
@@ -47,12 +52,7 @@ class Record:
 
     @property
     def payload_bytes(self) -> int:
-        n = int(np.prod(self.shape)) if self.shape else 0
-        if self.dtype == DTYPE_F32:
-            return 4 * n
-        if self.dtype == DTYPE_I8:
-            return n
-        return (n + 1) // 2
+        return _payload_len(self.dtype, int(np.prod(self.shape)) if self.shape else 0)
 
 
 def pack_i4(values: np.ndarray) -> bytes:
@@ -148,17 +148,13 @@ def read_blob(path) -> dict[str, Record]:
             raise ParseError(f"{path}: unknown dtype tag {tag} in record {name!r}")
         dtype = _NAMES[tag]
         n = int(np.prod(shape)) if rank else 0
+        if payload_len != _payload_len(dtype, n):
+            raise ParseError(f"{path}: bad payload size in record {name!r}")
         if dtype == DTYPE_F32:
-            if payload_len != 4 * n:
-                raise ParseError(f"{path}: bad payload size in record {name!r}")
             values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
         elif dtype == DTYPE_I8:
-            if payload_len != n:
-                raise ParseError(f"{path}: bad payload size in record {name!r}")
             values = np.frombuffer(payload, dtype=np.int8).astype(np.int32)
         else:
-            if payload_len != (n + 1) // 2:
-                raise ParseError(f"{path}: bad payload size in record {name!r}")
             values = unpack_i4(payload, n)
         records[name] = Record(name, dtype, tuple(int(d) for d in shape), values)
     return records

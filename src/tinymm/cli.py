@@ -160,8 +160,15 @@ def _synth_inputs(graph: g.ModelGraph, rng: np.random.Generator) -> dict[str, Te
     }
 
 
-def _quantized_plan(graph, assignment_path, calibration_inputs):
-    assignment = alloc.load_assignment(assignment_path).bits
+def _read_assignment(path: str) -> dict[str, int]:
+    """The bits of an assignment file; any failure to read it is a load failure."""
+    try:
+        return alloc.load_assignment(path).bits
+    except (TinymmError, OSError) as exc:
+        raise CliFailure(EXIT_LOAD, f"cannot read assignment: {exc}") from exc
+
+
+def _quantized_plan(graph, assignment, calibration_inputs):
     stats = g.calibrate(graph, calibration_inputs)
     return g.prepare_quantized_plan(graph, assignment, stats)
 
@@ -237,10 +244,7 @@ def _calibration_pairs(graph: g.ModelGraph, cal_dir: str) -> list[dict[str, Tens
 
 def cmd_quantize(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
-    try:
-        assignment = alloc.load_assignment(args.assignment).bits
-    except (TinymmError, OSError) as exc:
-        raise CliFailure(EXIT_LOAD, f"cannot read assignment: {exc}") from exc
+    assignment = _read_assignment(args.assignment)
     pairs = _calibration_pairs(graph, args.calibration_dir)
     try:
         stats = g.calibrate(graph, pairs)
@@ -258,18 +262,17 @@ def cmd_quantize(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
+    assignment = _read_assignment(args.quantized) if args.quantized else None
     inputs = _gather_inputs(graph, args)
     try:
-        if args.quantized:
-            plan = _quantized_plan(graph, args.quantized, [inputs])
+        if assignment is not None:
+            plan = _quantized_plan(graph, assignment, [inputs])
             probs = g.infer(graph, inputs, mode="quantized", plan=plan,
                             parallel_branches=args.parallel)
         else:
             probs = g.infer(graph, inputs, parallel_branches=args.parallel)
     except TinymmError as exc:
         raise CliFailure(EXIT_INPUT, str(exc)) from exc
-    except OSError as exc:
-        raise CliFailure(EXIT_LOAD, str(exc)) from exc
     vec = [float(p) for p in probs.data]
     label = int(np.argmax(probs.data))
     print(f"class {label}")
@@ -280,17 +283,16 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
+    assignment = _read_assignment(args.quantized) if args.quantized else None
     rng = np.random.default_rng(args.seed)
     inputs = _synth_inputs(graph, rng)
     mode = "quantized" if args.quantized else "float32"
     plan = None
-    if args.quantized:
+    if assignment is not None:
         try:
-            plan = _quantized_plan(graph, args.quantized, [inputs])
+            plan = _quantized_plan(graph, assignment, [inputs])
         except TinymmError as exc:
             raise CliFailure(EXIT_CALIBRATION, str(exc)) from exc
-        except OSError as exc:
-            raise CliFailure(EXIT_LOAD, str(exc)) from exc
     timings = []
     for _ in range(args.reps):
         t0 = time.perf_counter()

@@ -5,9 +5,14 @@ blob. The config lists layers in topological order; each non-input layer
 names its inputs. Exactly two input layers feed two linear branches that
 meet at a single concat node, followed by a dense head ending in softmax.
 
-Batch-norm layers are folded into the preceding convolution at load time
-(w' = w * g / sqrt(var + eps), b' = (b - mean) * g / sqrt(var + eps) + beta,
-eps = 1e-3) and removed from the graph.
+Both kinds of weight blob are read by one binder (`_take_records`) against
+a layout that names every record with its shape and dtypes: `_expected_records`
+gives a float blob's layout and `_plan_layout` derives a quantized blob's from
+it. A missing record, a wrong dtype, a wrong shape and a record the layout does
+not name are each rejected when the blob is read. Batch-norm layers are folded
+into the preceding convolution while the records are bound (w' = w * g /
+sqrt(var + eps), b' = (b - mean) * g / sqrt(var + eps) + beta, eps = 1e-3) and
+removed from the graph.
 
 Inference runs either in float32 or fully quantized, through one walk of
 the topology (`_forward`: inputs, branch chains, concat, head) to which
@@ -95,7 +100,6 @@ class ModelGraph:
     branch_chains: tuple[list[str], list[str]]
     head_chain: list[str]
     sensitivity_overrides: dict[str, float] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
     def layer(self, name: str) -> LayerSpec:
         return self._by_name[name]
@@ -208,6 +212,9 @@ def _infer_shapes(layers: list[LayerSpec], raw: list[dict]) -> dict[str, tuple[i
     shapes: dict[str, tuple[int, ...]] = {}
     raw_by_name = {l.name: d for l, d in zip(layers, raw)}
     for layer in layers:
+        for src in layer.inputs:
+            if src not in shapes:
+                raise ParseError(f"layer {layer.name!r} consumes {src!r} before it is defined")
         if layer.kind == "input":
             _check_input_source(layer)
             shapes[layer.name] = layer.input_shape
@@ -295,37 +302,24 @@ def _expected_records(layer: LayerSpec, shapes: dict) -> dict[str, tuple[int, ..
     return {}
 
 
-def _fold_batchnorm(
-    layers: list[LayerSpec],
-    weights: dict[str, dict[str, Tensor]],
-    shapes: dict[str, tuple[int, ...]],
-    bn_params: dict[str, dict[str, np.ndarray]],
-) -> list[LayerSpec]:
-    """Fold every batchnorm into its preceding conv2d and drop the node."""
-    remaining = []
-    rename: dict[str, str] = {}
-    for layer in layers:
-        if layer.kind != "batchnorm":
-            continue
-        prev_name = rename.get(layer.inputs[0], layer.inputs[0])
-        prev = next((l for l in layers if l.name == prev_name), None)
-        if prev is None or prev.kind != "conv2d":
-            raise ParseError(
-                f"batchnorm {layer.name!r} must directly follow a conv2d layer"
-            )
-        p = bn_params[layer.name]
-        scale = p["gamma"] / np.sqrt(p["var"] + BN_EPS)
-        w = weights[prev_name]["w"].data * scale  # broadcast over output channels
-        b = (weights[prev_name]["b"].data - p["mean"]) * scale + p["beta"]
-        weights[prev_name] = {"w": Tensor(w.astype(np.float32)), "b": Tensor(b.astype(np.float32))}
-        rename[layer.name] = prev_name
-    for layer in layers:
-        if layer.kind == "batchnorm":
-            shapes.pop(layer.name, None)
-            continue
-        layer.inputs = tuple(rename.get(s, s) for s in layer.inputs)
-        remaining.append(layer)
-    return remaining
+def _take_records(records: dict[str, Record], layout: dict, what: str) -> dict[str, Record]:
+    """The records a layout names, in layout order, each checked for presence,
+    dtype and shape; a record the layout does not name is rejected.
+
+    layout maps record name -> (shape, allowed dtypes).
+    """
+    for name, (shape, dtypes) in layout.items():
+        rec = records.get(name)
+        if rec is None:
+            raise ShapeMismatchError(f"{what} is missing record {name!r}")
+        if rec.dtype not in dtypes:
+            raise ParseError(f"record {name!r} is {rec.dtype}, expected {' or '.join(dtypes)}")
+        if rec.shape != shape:
+            raise ShapeMismatchError(f"record {name!r} has shape {rec.shape}, expected {shape}")
+    extra = records.keys() - layout.keys()
+    if extra:
+        raise DanglingWeightsError(f"{what} contains unclaimed records: {sorted(extra)}")
+    return {name: records[name] for name in layout}
 
 
 def _check_dag(layers: list[LayerSpec]) -> tuple[tuple[list[str], list[str]], list[str]]:
@@ -380,48 +374,36 @@ def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
     names = [l.name for l in layers]
     if len(set(names)) != len(names):
         raise ParseError("layer names must be unique")
-    known: set[str] = set()
-    for layer in layers:
-        for src in layer.inputs:
-            if src not in known:
-                raise ParseError(
-                    f"layer {layer.name!r} consumes {src!r} before it is defined"
-                )
-        known.add(layer.name)
-
     shapes = _infer_shapes(layers, raw_layers)
 
-    # bind weights
-    claimed: set[str] = set()
+    layout = {rec: (shape, (DTYPE_F32,))
+              for layer in layers for rec, shape in _expected_records(layer, shapes).items()}
+    bound: dict[str, dict[str, Tensor]] = {}
+    for rec in _take_records(records, layout, "weight blob").values():
+        layer_name, key = rec.name.rsplit(".", 1)
+        bound.setdefault(layer_name, {})[key] = Tensor(rec.values.reshape(rec.shape))
+    kinds = {l.name: l.kind for l in layers}
+    folded: dict[str, str] = {}  # batchnorm -> the conv2d it was folded into
     weights: dict[str, dict[str, Tensor]] = {}
-    bn_params: dict[str, dict[str, np.ndarray]] = {}
+    kept: list[LayerSpec] = []
     for layer in layers:
-        expected = _expected_records(layer, shapes)
-        bound: dict[str, Tensor] = {}
-        for rec_name, shape in expected.items():
-            rec = records.get(rec_name)
-            if rec is None:
-                raise ShapeMismatchError(f"weight blob is missing record {rec_name!r}")
-            if rec.dtype != DTYPE_F32:
-                raise ParseError(f"record {rec_name!r} must be f32 in a float model")
-            if rec.shape != shape:
-                raise ShapeMismatchError(
-                    f"record {rec_name!r} has shape {rec.shape}, expected {shape}"
-                )
-            bound[rec_name.rsplit(".", 1)[1]] = Tensor(rec.values.reshape(shape))
-            claimed.add(rec_name)
+        layer.inputs = tuple(folded.get(s, s) for s in layer.inputs)
         if layer.kind in WEIGHTED_KINDS:
-            weights[layer.name] = bound
+            weights[layer.name] = bound[layer.name]
         elif layer.kind == "batchnorm":
-            bn_params[layer.name] = {
-                k: v.data.astype(np.float64) for k, v in bound.items()
-            }
-    extra = set(records) - claimed
-    if extra:
-        raise DanglingWeightsError(f"blob contains unclaimed records: {sorted(extra)}")
-
-    layers = _fold_batchnorm(layers, weights, shapes, bn_params)
-    chains, head = _check_dag(layers)
+            conv = layer.inputs[0]
+            if kinds[conv] != "conv2d":
+                raise ParseError(f"batchnorm {layer.name!r} must directly follow a conv2d layer")
+            p = {k: v.data.astype(np.float64) for k, v in bound[layer.name].items()}
+            scale = p["gamma"] / np.sqrt(p["var"] + BN_EPS)
+            w = weights[conv]["w"].data * scale  # broadcast over output channels
+            b = (weights[conv]["b"].data - p["mean"]) * scale + p["beta"]
+            weights[conv] = {"w": Tensor(w.astype(np.float32)), "b": Tensor(b.astype(np.float32))}
+            folded[layer.name] = conv
+            del shapes[layer.name]
+            continue
+        kept.append(layer)
+    chains, head = _check_dag(kept)
 
     raw_overrides = config.get("sensitivity_overrides") or {}
     if not isinstance(raw_overrides, dict):
@@ -435,7 +417,7 @@ def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
             raise ParseError(f"sensitivity override for {k!r} must be finite and >= 0, got {v}")
     return ModelGraph(
         name=str(config.get("name", "model")),
-        layers=layers,
+        layers=kept,
         weights=weights,
         shapes=shapes,
         input_names=(chains[0][0], chains[1][0]),
@@ -444,7 +426,6 @@ def assemble_model(config: dict, records: dict[str, Record]) -> ModelGraph:
         branch_chains=chains,
         head_chain=head,
         sensitivity_overrides=overrides,
-        config=config,
     )
 
 
@@ -569,14 +550,14 @@ def calibrate(
 class QuantizedPlan:
     """Everything integer inference needs: weights, biases and edge params."""
 
-    assignment: dict[str, int]
-    qweights: dict[str, dict[str, QuantTensor]]
-    qbiases: dict[str, np.ndarray]
-    in_params: dict[str, QuantParams]    # params each weighted layer consumes
-    out_params: dict[str, QuantParams]   # params each weighted layer produces
-    mid_params: dict[str, QuantParams]   # depthwise-stage params of ds layers
-    input_params: dict[str, QuantParams]
     concat_params: QuantParams
+    input_params: dict[str, QuantParams] = field(default_factory=dict)
+    assignment: dict[str, int] = field(default_factory=dict)
+    qweights: dict[str, dict[str, QuantTensor]] = field(default_factory=dict)
+    qbiases: dict[str, np.ndarray] = field(default_factory=dict)
+    in_params: dict[str, QuantParams] = field(default_factory=dict)   # each weighted layer consumes
+    out_params: dict[str, QuantParams] = field(default_factory=dict)  # each weighted layer produces
+    mid_params: dict[str, QuantParams] = field(default_factory=dict)  # depthwise stage of ds layers
 
 
 def _layer_bits(layer: LayerSpec, assignment: dict[str, int]) -> int:
@@ -628,6 +609,8 @@ def _bind_layer(plan: QuantizedPlan, layer: LayerSpec, qws: dict[str, QuantTenso
         raise PrecisionMismatchError(
             f"layer {name!r} mixes widths {sorted(widths)} across its weights and edge params"
         )
+    if not np.isfinite(bias.data).all():  # NaN has no integer bias
+        raise ParseError(f"layer {name!r} has a bias that is not finite")
     plan.assignment[name] = bits
     plan.qweights[name] = qws
     plan.qbiases[name] = ik.quantize_bias(bias, in_scale, last.params.scale)
@@ -639,11 +622,8 @@ def prepare_quantized_plan(
     stats: dict[str, CalibrationStats],
 ) -> QuantizedPlan:
     """Quantize weights and fix every edge's parameters ahead of execution."""
-    plan = QuantizedPlan(
-        assignment={}, qweights={}, qbiases={}, in_params={}, out_params={},
-        mid_params={}, input_params={},
-        concat_params=QuantParams(1.0, 0, 8),
-    )
+    head_bits = _first_weighted_bits(graph, graph.head_chain, assignment)
+    plan = QuantizedPlan(affine_params(_stats_for(stats, graph.concat_name), head_bits))
 
     def walk(chain: list[str], cur: QuantParams, cur_edge: str) -> None:
         for name in chain:
@@ -662,13 +642,11 @@ def prepare_quantized_plan(
                 cur = plan.out_params[name]
             cur_edge = name
 
-    head_bits = _first_weighted_bits(graph, graph.head_chain, assignment)
     for chain in graph.branch_chains:
         start_bits = _first_weighted_bits(graph, chain + graph.head_chain, assignment)
         cur = affine_params(_stats_for(stats, chain[0]), start_bits)
         plan.input_params[chain[0]] = cur
         walk(chain[1:], cur, chain[0])
-    plan.concat_params = affine_params(_stats_for(stats, graph.concat_name), head_bits)
     walk(graph.head_chain[1:], plan.concat_params, graph.concat_name)
     return plan
 
@@ -794,7 +772,31 @@ def _params_record(name: str, p: QuantParams) -> Record:
 
 def _params_from_record(rec: Record) -> QuantParams:
     scale, zp, bits = (float(v) for v in rec.values)
+    if not (zp.is_integer() and bits.is_integer()):  # also false for NaN and inf
+        raise ParseError(f"record {rec.name!r}: zero point {zp} and bits {bits} must be integers")
     return QuantParams(scale=scale, zero_point=int(zp), bits=int(bits))
+
+
+def _plan_layout(graph: ModelGraph) -> dict[str, tuple[tuple[int, ...], tuple[str, ...]]]:
+    """Record name -> (shape, allowed dtypes) for every record of a quantized
+    blob: per weighted layer, each float weight `<k>` becomes `<k>q` (same
+    shape, i4 or i8) and `<k>_scale`; the bias stays f32; the edge params
+    (scale, zero point, bits) are `in_params`, `out_params` and, for a ds
+    layer, `mid_params`; each input and the concat have `.params`."""
+    params = ((3,), (DTYPE_F32,))
+    layout = {}
+    for layer in graph.weighted_layers:
+        for rec, shape in _expected_records(layer, graph.shapes).items():
+            if rec.endswith(".b"):
+                layout[rec] = (shape, (DTYPE_F32,))
+            else:
+                layout[f"{rec}q"] = (shape, (DTYPE_I4, DTYPE_I8))
+                layout[f"{rec}_scale"] = ((1,), (DTYPE_F32,))
+        for edge in ("in", "mid", "out") if layer.kind == "ds_conv2d" else ("in", "out"):
+            layout[f"{layer.name}.{edge}_params"] = params
+    for name in (*graph.input_names, graph.concat_name):
+        layout[f"{name}.params"] = params
+    return layout
 
 
 def plan_to_records(graph: ModelGraph, plan: QuantizedPlan) -> list[Record]:
@@ -821,47 +823,30 @@ def plan_to_records(graph: ModelGraph, plan: QuantizedPlan) -> list[Record]:
 def plan_from_records(graph: ModelGraph, records: dict[str, Record]) -> QuantizedPlan:
     """Rebuild an executable plan from a quantized blob.
 
-    Each layer's weights and edge params must share one width, which must
-    honour its config pin and fit the 32-bit accumulator bound, as in
-    `prepare_quantized_plan`; a record no layer claims is rejected, as in
-    `assemble_model`.
+    The records must match `_plan_layout` exactly, as a float blob must
+    match its layout in `assemble_model`. Each layer's weights and edge
+    params must share one width, which must honour its config pin and fit
+    the 32-bit accumulator bound, as in `prepare_quantized_plan`.
     """
-    claimed: set[str] = set()
+    recs = _take_records(records, _plan_layout(graph), "quantized blob")
 
-    def take(name: str) -> Record:
-        claimed.add(name)
-        return records[name]
+    def params(name: str) -> QuantParams:
+        return _params_from_record(recs[name])
 
-    try:
-        plan = _plan_from_records(graph, take)
-    except KeyError as exc:
-        raise ParseError(f"quantized blob is missing record {exc}") from exc
-    extra = set(records) - claimed
-    if extra:
-        raise DanglingWeightsError(f"quantized blob contains unclaimed records: {sorted(extra)}")
-    return plan
-
-
-def _plan_from_records(graph: ModelGraph, take) -> QuantizedPlan:
-    plan = QuantizedPlan(
-        assignment={}, qweights={}, qbiases={}, in_params={}, out_params={},
-        mid_params={}, input_params={},
-        concat_params=_params_from_record(take(f"{graph.concat_name}.params")),
-    )
-    for name in graph.input_names:
-        plan.input_params[name] = _params_from_record(take(f"{name}.params"))
+    plan = QuantizedPlan(params(f"{graph.concat_name}.params"),
+                         {name: params(f"{name}.params") for name in graph.input_names})
     for layer in graph.weighted_layers:
         name = layer.name
         qws: dict[str, QuantTensor] = {}
         for key in ("dw", "pw") if layer.kind == "ds_conv2d" else ("w",):
-            rec = take(f"{name}.{key}q")
+            rec = recs[f"{name}.{key}q"]
+            scale = float(recs[f"{name}.{key}_scale"].values[0])
             bits = 4 if rec.dtype == DTYPE_I4 else 8
-            scale = float(take(f"{name}.{key}_scale").values[0])
             qws[key] = QuantTensor(rec.values.reshape(rec.shape), QuantParams(scale, 0, bits))
-        plan.in_params[name] = _params_from_record(take(f"{name}.in_params"))
-        plan.out_params[name] = _params_from_record(take(f"{name}.out_params"))
+        plan.in_params[name] = params(f"{name}.in_params")
+        plan.out_params[name] = params(f"{name}.out_params")
         if layer.kind == "ds_conv2d":
-            plan.mid_params[name] = _params_from_record(take(f"{name}.mid_params"))
-        bias = take(f"{name}.b")
+            plan.mid_params[name] = params(f"{name}.mid_params")
+        bias = recs[f"{name}.b"]
         _bind_layer(plan, layer, qws, Tensor(bias.values.reshape(bias.shape)))
     return plan

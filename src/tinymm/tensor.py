@@ -102,11 +102,8 @@ class QuantParams:
     scale: float
     zero_point: int
     bits: int
-    signed: bool = True  # unsigned payloads are not supported
 
     def __post_init__(self):
-        if not self.signed:
-            raise InvalidShapeError("only signed encodings are supported")
         if self.bits not in (4, 8):
             raise InvalidShapeError(f"bits must be 4 or 8, got {self.bits}")
         if not 0 < self.scale < math.inf:  # also false for NaN

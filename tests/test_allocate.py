@@ -7,12 +7,14 @@ from tinymm.allocate import (
     assignment_from_dict,
     assignment_to_dict,
     budget_sweep,
+    load_assignment,
     solve_brute_force,
     solve_exact,
 )
 from tinymm.errors import (
     InfeasibleError,
     MissingAssignmentError,
+    ParseError,
     SearchSpaceTooLargeError,
 )
 
@@ -168,3 +170,14 @@ def test_assignment_serialization_round_trip():
     a = solve_exact(p)
     back = assignment_from_dict(assignment_to_dict(a))
     assert back == a
+
+
+@pytest.mark.parametrize("text", [
+    "bits: all 8", "\udcff", "[8, 4]", '"bits"', '{"bits": [1]}', '{"bits": {"x": "a"}}',
+    '{"bits": {"x": 1e400}}', '{"objective": 1}',
+])
+def test_load_assignment_rejects_malformed_documents(tmp_path, text):
+    path = tmp_path / "assn.json"
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(ParseError):
+        load_assignment(path)

@@ -219,6 +219,31 @@ def test_quantize_empty_calibration_exit_4(tmp_path):
     assert rc == 4
 
 
+_BAD_ASSIGNMENTS = {
+    "not-json": "bits: all 8",
+    "top-level-list": "[8, 4]",
+    "bits-list": '{"bits": [1]}',
+    "bits-not-a-number": '{"bits": {"x": "a"}}',
+}
+
+
+@pytest.mark.parametrize("doc", list(_BAD_ASSIGNMENTS))
+@pytest.mark.parametrize("command", ["quantize", "infer", "bench"])
+def test_malformed_assignment_exit_2(tmp_path, media, capsys, command, doc):
+    # each command reads the assignment through one helper: a load failure
+    assn = tmp_path / "assn.json"
+    assn.write_text(_BAD_ASSIGNMENTS[doc])
+    argv = {
+        "quantize": ["quantize", "covid", "--assignment", str(assn),
+                     "--calibration-dir", str(media / "cal"), "--out", str(tmp_path / "q.tmmw")],
+        "infer": ["infer", "covid", "--audio", str(media / "cough.wav"),
+                  "--audio2", str(media / "speech.wav"), "--quantized", str(assn)],
+        "bench": ["bench", "covid", "--reps", "1", "--quantized", str(assn)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("cannot read assignment:")
+
+
 def test_infer_covid(tmp_path, media, capsys):
     out = tmp_path / "probs.json"
     rc = main(["infer", "covid", "--audio", str(media / "cough.wav"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tinymm.allocate import build_problem, solve_exact
-from tinymm.blob import DTYPE_F32, DTYPE_I8, Record, write_blob
+from tinymm.blob import DTYPE_F32, DTYPE_I4, DTYPE_I8, Record, write_blob
 from tinymm.errors import (
     AccumulatorOverflowError,
     DanglingWeightsError,
@@ -144,6 +144,7 @@ def test_wrong_record_shape():
     lambda c: c.update(sensitivity_overrides={"a_conv": -1.0}),
     lambda c: c.update(sensitivity_overrides={"a_conv": float("nan")}),
     lambda c: c.update(sensitivity_overrides={"a_conv": float("inf")}),
+    lambda c: c["layers"].insert(0, c["layers"].pop(1)),  # a_conv consumes a_in before it
 ])
 def test_config_validation_errors(mutate):
     config = tiny_config()
@@ -448,6 +449,105 @@ def test_plan_from_records_rejects_an_infinite_scale():
                                        np.array([np.inf], dtype=np.float32))
     with pytest.raises(InvalidShapeError):
         plan_from_records(tiny_model(), records)
+
+
+def _params(rec, zero_point=None, n=3):
+    scale, zp, bits = rec.values
+    values = np.array([scale, zp if zero_point is None else zero_point, bits], dtype=np.float32)
+    return Record(rec.name, DTYPE_F32, (n,), values[:n])
+
+
+# each of these used to load (and run, or fail only at infer), or to raise a
+# bare ValueError
+@pytest.mark.parametrize("name,mutate,error", [
+    ("a_fc.wq", lambda r: Record(r.name, DTYPE_F32, r.shape, r.values.astype(np.float32)), ParseError),
+    ("a_fc.in_params", lambda r: _params(r, zero_point=-22.5), ParseError),
+    ("a_fc.w_scale", lambda r: Record(r.name, DTYPE_F32, (3,), np.repeat(r.values, 3)), ShapeMismatchError),
+    ("a_fc.w_scale", lambda r: Record(r.name, DTYPE_I8, (1,), np.ones(1, dtype=np.int32)), ParseError),
+    ("a_fc.wq", lambda r: Record(r.name, r.dtype, r.shape[::-1], r.values.reshape(r.shape).T.reshape(-1)),
+     ShapeMismatchError),
+    ("a_fc.b", lambda r: Record(r.name, DTYPE_F32, (2,), r.values[:2]), ShapeMismatchError),
+    ("a_fc.in_params", lambda r: _params(r, n=2), ShapeMismatchError),
+    ("a_fc.in_params", lambda r: _params(r, zero_point=np.nan), ParseError),
+    ("b_sep.b", lambda r: Record(r.name, DTYPE_F32, r.shape, np.full(r.shape, np.nan, dtype=np.float32)),
+     ParseError),
+], ids=["f32-weights", "fractional-zero-point", "scale-shape", "i8-scale", "transposed-weights",
+        "bias-shape", "short-params", "nan-zero-point", "nan-bias"])
+def test_plan_from_records_rejects_malformed_records(name, mutate, error):
+    records = _quantized_records(tiny_model(), 8)
+    records[name] = mutate(records[name])
+    with pytest.raises(error):
+        plan_from_records(tiny_model(), records)
+
+
+def test_plan_from_records_missing_record_is_a_shape_mismatch():
+    # the same type assemble_model gives a float blob missing a record
+    records = _quantized_records(tiny_model(), 8)
+    del records["b_sep.mid_params"]
+    with pytest.raises(ShapeMismatchError):
+        plan_from_records(tiny_model(), records)
+
+
+_DTYPES = (DTYPE_F32, DTYPE_I8, DTYPE_I4)
+_LIMITS = {DTYPE_I8: 127, DTYPE_I4: 7}
+
+
+def _as_dtype(values, dtype):
+    """values as a blob of that dtype could hold them."""
+    if dtype == DTYPE_F32:
+        return np.asarray(values, dtype=np.float32)
+    lim = _LIMITS[dtype]
+    return np.clip(np.round(np.nan_to_num(np.asarray(values, dtype=np.float64))), -lim - 1, lim).astype(np.int32)
+
+
+def _mutate_record(rec, rng):
+    """One seeded edit of a record that a blob could carry: a dtype swap, a
+    reshape, one value more or fewer, or a NaN, infinite or fractional value."""
+    flat = np.asarray(rec.values).reshape(-1)
+    op = int(rng.integers(4))
+    if op == 0:
+        dtype = [d for d in _DTYPES if d != rec.dtype][int(rng.integers(2))]
+        return Record(rec.name, dtype, rec.shape, _as_dtype(flat, dtype))
+    if op == 1:
+        shape = [(flat.size,), (1, flat.size), (flat.size, 1), rec.shape[::-1]][int(rng.integers(4))]
+        return Record(rec.name, rec.dtype, shape, flat)
+    if op == 2:
+        values = flat[:-1] if rng.random() < 0.5 else np.concatenate([flat, flat[:1]])
+        return Record(rec.name, rec.dtype, (values.size,), values)
+    values = flat.astype(np.float64)
+    i = int(rng.integers(values.size))
+    values[i] = [np.nan, np.inf, -np.inf, values[i] + 0.5, values[i] * 1.5][int(rng.integers(5))]
+    return Record(rec.name, rec.dtype, rec.shape, _as_dtype(values, rec.dtype))
+
+
+def test_plan_records_mutations_fail_typed():
+    graph = tiny_model()
+    rng = np.random.default_rng(14)
+    pair = _rand_inputs(graph, rng)
+    stats = calibrate(graph, [pair, _rand_inputs(graph, rng)])
+    assn = {l.name: (4 if i % 2 else 8) for i, l in enumerate(graph.weighted_layers)}
+    base = {r.name: r for r in plan_to_records(graph, prepare_quantized_plan(graph, assn, stats))}
+    names = sorted(base)
+    loaded = 0
+    for _ in range(400):
+        records = dict(base)
+        name = names[int(rng.integers(len(names)))]
+        op = rng.random()
+        if op < 0.1:
+            del records[name]
+        elif op < 0.2:
+            other = names[int(rng.integers(len(names)))]
+            records[f"{other}x" if rng.random() < 0.5 else other] = records.pop(name)
+        else:
+            records[name] = _mutate_record(records[name], rng)
+        try:
+            plan = plan_from_records(graph, records)
+        except TinymmError:
+            continue
+        probs = infer(graph, pair, mode="quantized", plan=plan).data
+        assert np.isfinite(probs).all() and probs.sum() == pytest.approx(1.0, abs=1e-5)
+        loaded += 1
+    assert 0 < loaded < 200  # value edits of biases and scales load; layout edits do not
 
 
 def test_library_allocation_honours_pins():
