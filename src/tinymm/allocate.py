@@ -227,12 +227,22 @@ def assignment_to_dict(a: BitAssignment) -> dict:
     }
 
 
+def _width(layer, v) -> int:
+    """An int, or an integral float as config pins accept (8.0 reads as 8)."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():  # also false for NaN and inf
+        return int(v)
+    raise ParseError(f"layer {layer!r}: width {v!r} is not an integer")
+
+
 def assignment_from_dict(doc: dict) -> BitAssignment:
     if not isinstance(doc, dict) or not isinstance(doc.get("bits"), dict):
         raise ParseError("assignment must be an object whose \"bits\" maps layer names to widths")
+    bits = {str(k): _width(k, v) for k, v in doc["bits"].items()}
     try:
         return BitAssignment(
-            bits={str(k): int(v) for k, v in doc["bits"].items()},
+            bits=bits,
             objective=float(doc.get("objective", 0.0)),
             size_bits=int(doc.get("size_bits", 0)),
             bops=int(doc.get("bops", 0)),

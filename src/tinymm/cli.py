@@ -41,6 +41,7 @@ from .errors import (
     EmptyCalibrationSetError,
     InfeasibleError,
     MissingCalibrationError,
+    ParseError,
     TinymmError,
 )
 from .reference_models import (
@@ -160,10 +161,17 @@ def _synth_inputs(graph: g.ModelGraph, rng: np.random.Generator) -> dict[str, Te
     }
 
 
-def _read_assignment(path: str) -> dict[str, int]:
-    """The bits of an assignment file; any failure to read it is a load failure."""
+def _read_assignment(path: str, graph: g.ModelGraph) -> dict[str, int]:
+    """The bits of an assignment file, which must give every weighted layer of
+    graph a width of 4 or 8 that its config pin allows; any failure to read
+    or check it is a load failure."""
     try:
-        return alloc.load_assignment(path).bits
+        bits = alloc.load_assignment(path).bits
+        for layer in graph.weighted_layers:
+            width = g._layer_bits(layer, bits)  # coverage and pins
+            if width not in (4, 8):
+                raise ParseError(f"layer {layer.name!r}: width {width} is not 4 or 8")
+        return bits
     except (TinymmError, OSError) as exc:
         raise CliFailure(EXIT_LOAD, f"cannot read assignment: {exc}") from exc
 
@@ -244,7 +252,7 @@ def _calibration_pairs(graph: g.ModelGraph, cal_dir: str) -> list[dict[str, Tens
 
 def cmd_quantize(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
-    assignment = _read_assignment(args.assignment)
+    assignment = _read_assignment(args.assignment, graph)
     pairs = _calibration_pairs(graph, args.calibration_dir)
     try:
         stats = g.calibrate(graph, pairs)
@@ -262,7 +270,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
-    assignment = _read_assignment(args.quantized) if args.quantized else None
+    assignment = _read_assignment(args.quantized, graph) if args.quantized else None
     inputs = _gather_inputs(graph, args)
     try:
         if assignment is not None:
@@ -283,7 +291,7 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     graph = _load_model(args.model, args.weights, args.seed)
-    assignment = _read_assignment(args.quantized) if args.quantized else None
+    assignment = _read_assignment(args.quantized, graph) if args.quantized else None
     rng = np.random.default_rng(args.seed)
     inputs = _synth_inputs(graph, rng)
     mode = "quantized" if args.quantized else "float32"

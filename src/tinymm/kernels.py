@@ -6,7 +6,7 @@ is one geometry check per kernel kind (`_check_*`), the window view
 zero-filled copy of the input for SAME padding), contractions in the
 operands' dtype (`_*_core`: im2col + GEMM for convolution, GEMM for
 pointwise and dense, einsum for depthwise) and the max-pool body. Float
-kernels here contract in float64 and store float32; integer kernels in
+kernels here contract their float32 operands in float32; integer kernels in
 `integer_kernels` wrap the same core. Kernels are pure functions
 of immutable tensors, so independent layer invocations may run concurrently.
 """
@@ -170,7 +170,7 @@ def _check_pool(inp, spec: PoolSpec, who: str) -> None:
 
 
 # -- contraction core -------------------------------------------------------------
-# Shared by the float kernels here (float64 operands) and the integer kernels,
+# Shared by the float kernels here (float32 operands) and the integer kernels,
 # which pass zero-point-offset integers in float32 or float64; callers have
 # already checked the geometry.
 
@@ -209,24 +209,23 @@ def _maxpool_core(x: np.ndarray, p: int) -> np.ndarray:
 def conv2d_fp(inp: Tensor, weights: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     """Standard cross-correlation: (H, W, M) x (Dk, Dk, M, N) -> (H', W', N)."""
     _check_conv(inp, weights.shape, bias.shape, spec, "conv2d_fp")
-    out = _conv_core(inp.data.astype(np.float64), weights.data.astype(np.float64), spec)
-    out += bias.data.astype(np.float64)
-    return Tensor(out.astype(np.float32))
+    out = _conv_core(inp.data, weights.data, spec)
+    out += bias.data
+    return Tensor(out)
 
 
 def depthwise_conv2d_fp(inp: Tensor, dw_weights: Tensor, spec: ConvSpec) -> Tensor:
     """Per-channel spatial stage of a separable convolution; no bias."""
     _check_conv(inp, dw_weights.shape, None, spec, "depthwise_conv2d_fp")
-    out = _depthwise_core(inp.data.astype(np.float64), dw_weights.data.astype(np.float64), spec)
-    return Tensor(out.astype(np.float32))
+    return Tensor(_depthwise_core(inp.data, dw_weights.data, spec))
 
 
 def pointwise_conv2d_fp(inp: Tensor, pw_weights: Tensor, bias: Tensor) -> Tensor:
     """1x1 channel-mixing stage: (H, W, M) x (1, 1, M, N) -> (H, W, N)."""
     _check_pointwise(inp, pw_weights.shape, bias.shape, "pointwise_conv2d_fp")
-    out = _pointwise_core(inp.data.astype(np.float64), pw_weights.data.astype(np.float64))
-    out += bias.data.astype(np.float64)
-    return Tensor(out.astype(np.float32))
+    out = _pointwise_core(inp.data, pw_weights.data)
+    out += bias.data
+    return Tensor(out)
 
 
 def depthwise_separable_conv2d_fp(
@@ -246,9 +245,9 @@ def maxpool2d(inp: Tensor, spec: PoolSpec) -> Tensor:
 def dense_fp(inp: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Fully connected layer: out[j] = sum_k in[k] * w[k, j] + b[j]."""
     _check_dense(inp, weights.shape, bias.shape, "dense_fp")
-    out = _dense_core(inp.data.astype(np.float64), weights.data.astype(np.float64))
-    out += bias.data.astype(np.float64)
-    return Tensor(out.astype(np.float32))
+    out = _dense_core(inp.data, weights.data)
+    out += bias.data
+    return Tensor(out)
 
 
 def relu(inp: Tensor) -> Tensor:

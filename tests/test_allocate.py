@@ -181,3 +181,20 @@ def test_load_assignment_rejects_malformed_documents(tmp_path, text):
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ParseError):
         load_assignment(path)
+
+
+@pytest.mark.parametrize("width", ["8.7", "NaN", "Infinity", "-Infinity", "true", '"8"', "null"])
+def test_load_assignment_rejects_a_width_that_is_not_an_integer(tmp_path, width):
+    # a fractional width once loaded truncated (8.7 as 8), a boolean as 1, a string as its number
+    path = tmp_path / "assn.json"
+    path.write_text('{"bits": {"x": 8, "y": %s}}' % width)
+    with pytest.raises(ParseError):
+        load_assignment(path)
+
+
+def test_load_assignment_reads_an_integral_float_width_as_an_int(tmp_path):
+    path = tmp_path / "assn.json"
+    path.write_text('{"bits": {"x": 8.0, "y": 4}}')
+    bits = load_assignment(path).bits
+    assert bits == {"x": 8, "y": 4}
+    assert all(type(v) is int for v in bits.values())

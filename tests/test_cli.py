@@ -226,22 +226,61 @@ _BAD_ASSIGNMENTS = {
     "bits-not-a-number": '{"bits": {"x": "a"}}',
 }
 
+# assignments that parse but do not fit the pinned covid model: each maps a
+# layer to a width, or None to leave that layer out
+_PIN = "cough_conv1"
+_MISFIT_ASSIGNMENTS = {
+    "misses-a-layer": {"head_fc1": None},
+    "contradicts-a-pin": {_PIN: 4},
+    "width-not-4-or-8": {"speech_sep1": 6},
+}
 
-@pytest.mark.parametrize("doc", list(_BAD_ASSIGNMENTS))
+
+@pytest.fixture(scope="module")
+def pinned_covid(tmp_path_factory):
+    """The covid config with one layer pinned at 8 bits, and its weight blob."""
+    root = tmp_path_factory.mktemp("pinned")
+    doc = reference_config("covid")
+    next(l for l in doc["layers"] if l["name"] == _PIN)["bits"] = 8
+    (root / "covid.json").write_text(json.dumps(doc))
+    write_blob(root / "w.tmmw", reference_weight_records("covid"))
+    return [str(root / "covid.json"), "--weights", str(root / "w.tmmw")]
+
+
+def _misfit_text(edits):
+    bits = _uniform_assignment("covid", 8)
+    for name, width in edits.items():
+        if width is None:
+            del bits[name]
+        else:
+            bits[name] = width
+    return json.dumps({"schema": "tinymm-assignment-v1", "bits": bits})
+
+
+@pytest.mark.parametrize("doc", list(_BAD_ASSIGNMENTS) + list(_MISFIT_ASSIGNMENTS))
 @pytest.mark.parametrize("command", ["quantize", "infer", "bench"])
-def test_malformed_assignment_exit_2(tmp_path, media, capsys, command, doc):
-    # each command reads the assignment through one helper: a load failure
+def test_malformed_assignment_exit_2(tmp_path, media, pinned_covid, capsys, command, doc):
+    # each command reads and checks the assignment through one helper: a load failure
     assn = tmp_path / "assn.json"
-    assn.write_text(_BAD_ASSIGNMENTS[doc])
+    if doc in _BAD_ASSIGNMENTS:
+        assn.write_text(_BAD_ASSIGNMENTS[doc])
+    else:
+        assn.write_text(_misfit_text(_MISFIT_ASSIGNMENTS[doc]))
     argv = {
-        "quantize": ["quantize", "covid", "--assignment", str(assn),
+        "quantize": ["quantize", *pinned_covid, "--assignment", str(assn),
                      "--calibration-dir", str(media / "cal"), "--out", str(tmp_path / "q.tmmw")],
-        "infer": ["infer", "covid", "--audio", str(media / "cough.wav"),
+        "infer": ["infer", *pinned_covid, "--audio", str(media / "cough.wav"),
                   "--audio2", str(media / "speech.wav"), "--quantized", str(assn)],
-        "bench": ["bench", "covid", "--reps", "1", "--quantized", str(assn)],
+        "bench": ["bench", *pinned_covid, "--reps", "1", "--quantized", str(assn)],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("cannot read assignment:")
+
+
+def test_assignment_that_honours_the_pin_runs(tmp_path, media, pinned_covid):
+    assn = tmp_path / "assn.json"
+    assn.write_text(_misfit_text({}))
+    assert main(["bench", *pinned_covid, "--reps", "1", "--quantized", str(assn)]) == 0
 
 
 def test_infer_covid(tmp_path, media, capsys):

@@ -30,6 +30,7 @@ from tinymm.graph import (
     prepare_quantized_plan,
     sensitivity_table,
 )
+from tinymm import kernels as K
 from tinymm.kernels import conv2d_fp, relu
 from tinymm.quantize import layer_sensitivity
 from tinymm.reference_models import (
@@ -286,6 +287,53 @@ def test_sequential_and_parallel_identical_float():
     a = infer(graph, inputs)
     b = infer(graph, inputs, parallel_branches=True)
     assert np.array_equal(a.data, b.data)
+
+
+def _float64_forward(graph, inputs):
+    """The float walk in float64, on float64 copies of the weights, through
+    the kernels' own contraction cores."""
+    def step(layer, x):
+        w = {k: t.data.astype(np.float64) for k, t in graph.weights.get(layer.name, {}).items()}
+        if layer.kind == "conv2d":
+            return K._conv_core(x, w["w"], layer.conv) + w["b"]
+        if layer.kind == "ds_conv2d":
+            return K._pointwise_core(K._depthwise_core(x, w["dw"], layer.conv), w["pw"]) + w["b"]
+        if layer.kind == "dense":
+            return K._dense_core(x, w["w"]) + w["b"]
+        if layer.kind == "maxpool":
+            return K._maxpool_core(x, layer.pool.pool_size)
+        if layer.kind == "relu":
+            return np.maximum(x, 0.0)
+        if layer.kind == "flatten":
+            return x.reshape(-1)
+        if layer.kind == "dropout":
+            return x
+        assert layer.kind == "softmax"
+        e = np.exp(x - x.max())
+        return e / e.sum()
+
+    def walk(chain, x):
+        for name in chain[1:]:
+            x = step(graph.layer(name), x)
+        return x
+
+    a, b = (walk(c, inputs[c[0]].data.astype(np.float64)) for c in graph.branch_chains)
+    return walk(graph.head_chain, np.concatenate([a, b]))
+
+
+@pytest.mark.parametrize("model", ["covid", "battlefield"])
+def test_float32_inference_tracks_a_float64_forward(model):
+    # float kernels contract in float32; perfbench holds float outputs to 2e-5
+    # of a float64 reference, and so does this test
+    graph = build_reference(model)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        inputs = _rand_inputs(graph, rng)
+        got = infer(graph, inputs)
+        want = _float64_forward(graph, inputs)
+        assert float(np.abs(got.data - want).max()) <= 2e-5
+        assert int(np.argmax(got.data)) == int(np.argmax(want))
+        assert np.array_equal(got.data, infer(graph, inputs, parallel_branches=True).data)
 
 
 def test_quantized_requires_calibration_and_assignment():

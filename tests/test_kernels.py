@@ -5,6 +5,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tinymm.errors import InputTooSmallError, KernelTooLargeError
 from tinymm.kernels import (
     ConvSpec,
+    _conv_core,
+    _dense_core,
+    _depthwise_core,
+    _pointwise_core,
     _windows,
     PoolSpec,
     conv2d_fp,
@@ -13,9 +17,11 @@ from tinymm.kernels import (
     depthwise_conv2d_fp,
     depthwise_separable_conv2d_fp,
     maxpool2d,
+    pointwise_conv2d_fp,
     relu,
     softmax,
 )
+from tinymm.reference_models import build_reference
 from tinymm.tensor import Tensor, tensor_create
 
 from oracles import (
@@ -289,6 +295,40 @@ def test_softmax_shift_invariance_exact():
     a = softmax(Tensor(z))
     b = softmax(Tensor(z + np.float32(4.0)))  # exact shift on the dyadic grid
     assert np.array_equal(a.data, b.data)
+
+
+# -- float32 accumulation error ------------------------------------------------------
+
+@pytest.mark.parametrize("model", ["covid", "battlefield"])
+def test_float32_kernels_within_the_summation_bound_at_model_shapes(model):
+    """Each weighted float kernel, at every layer shape of a reference model,
+    stays within terms * 2^-23 * sum|x*w| of the float64 contraction of the
+    same operands, terms being the accumulation length (a bias adds one)."""
+    graph = build_reference(model)
+    rng = np.random.default_rng(12)
+
+    def check(got, x, w, b, core, terms):
+        x64, w64 = x.data.astype(np.float64), w.data.astype(np.float64)
+        want, mag = core(x64, w64), core(np.abs(x64), np.abs(w64))
+        if b is not None:
+            want, mag, terms = want + b.data, mag + np.abs(b.data), terms + 1
+        assert np.all(np.abs(got.data - want) <= terms * 2.0**-23 * mag)
+
+    for layer in graph.weighted_layers:
+        x = Tensor(rng.normal(size=graph.shapes[layer.inputs[0]]))
+        w, spec = graph.weights[layer.name], layer.conv
+        if layer.kind == "conv2d":
+            check(conv2d_fp(x, w["w"], w["b"], spec), x, w["w"], w["b"],
+                  lambda a, k: _conv_core(a, k, spec), spec.kernel_size**2 * spec.in_channels)
+        elif layer.kind == "ds_conv2d":
+            mid = depthwise_conv2d_fp(x, w["dw"], spec)
+            check(mid, x, w["dw"], None,
+                  lambda a, k: _depthwise_core(a, k, spec), spec.kernel_size**2)
+            check(pointwise_conv2d_fp(mid, w["pw"], w["b"]), mid, w["pw"], w["b"],
+                  _pointwise_core, spec.in_channels)
+        else:
+            check(dense_fp(x, w["w"], w["b"]), x, w["w"], w["b"],
+                  _dense_core, layer.dense.in_features)
 
 
 # -- shape formula property ----------------------------------------------------------
