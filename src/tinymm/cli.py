@@ -41,7 +41,6 @@ from .errors import (
     EmptyCalibrationSetError,
     InfeasibleError,
     MissingCalibrationError,
-    ParseError,
     TinymmError,
 )
 from .reference_models import (
@@ -162,16 +161,10 @@ def _synth_inputs(graph: g.ModelGraph, rng: np.random.Generator) -> dict[str, Te
 
 
 def _read_assignment(path: str, graph: g.ModelGraph) -> dict[str, int]:
-    """The bits of an assignment file, which must give every weighted layer of
-    graph a width of 4 or 8 that its config pin allows; any failure to read
-    or check it is a load failure."""
+    """The bits of an assignment file, once `graph.check_assignment` accepts
+    them; any failure to read or check it is a load failure."""
     try:
-        bits = alloc.load_assignment(path).bits
-        for layer in graph.weighted_layers:
-            width = g._layer_bits(layer, bits)  # coverage and pins
-            if width not in (4, 8):
-                raise ParseError(f"layer {layer.name!r}: width {width} is not 4 or 8")
-        return bits
+        return g.check_assignment(graph, alloc.load_assignment(path).bits)
     except (TinymmError, OSError) as exc:
         raise CliFailure(EXIT_LOAD, f"cannot read assignment: {exc}") from exc
 
@@ -255,8 +248,7 @@ def cmd_quantize(args) -> int:
     assignment = _read_assignment(args.assignment, graph)
     pairs = _calibration_pairs(graph, args.calibration_dir)
     try:
-        stats = g.calibrate(graph, pairs)
-        plan = g.prepare_quantized_plan(graph, assignment, stats)
+        plan = _quantized_plan(graph, assignment, pairs)
     except (EmptyCalibrationSetError, MissingCalibrationError) as exc:
         raise CliFailure(EXIT_CALIBRATION, str(exc)) from exc
     except TinymmError as exc:
@@ -273,12 +265,9 @@ def cmd_infer(args) -> int:
     assignment = _read_assignment(args.quantized, graph) if args.quantized else None
     inputs = _gather_inputs(graph, args)
     try:
-        if assignment is not None:
-            plan = _quantized_plan(graph, assignment, [inputs])
-            probs = g.infer(graph, inputs, mode="quantized", plan=plan,
-                            parallel_branches=args.parallel)
-        else:
-            probs = g.infer(graph, inputs, parallel_branches=args.parallel)
+        plan = None if assignment is None else _quantized_plan(graph, assignment, [inputs])
+        probs = g.infer(graph, inputs, mode="float32" if plan is None else "quantized", plan=plan,
+                        parallel_branches=args.parallel)
     except TinymmError as exc:
         raise CliFailure(EXIT_INPUT, str(exc)) from exc
     vec = [float(p) for p in probs.data]
@@ -295,19 +284,14 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     inputs = _synth_inputs(graph, rng)
     mode = "quantized" if args.quantized else "float32"
-    plan = None
-    if assignment is not None:
-        try:
-            plan = _quantized_plan(graph, assignment, [inputs])
-        except TinymmError as exc:
-            raise CliFailure(EXIT_CALIBRATION, str(exc)) from exc
+    try:
+        plan = None if assignment is None else _quantized_plan(graph, assignment, [inputs])
+    except TinymmError as exc:
+        raise CliFailure(EXIT_CALIBRATION, str(exc)) from exc
     timings = []
     for _ in range(args.reps):
         t0 = time.perf_counter()
-        if plan is not None:
-            g.infer(graph, inputs, mode="quantized", plan=plan)
-        else:
-            g.infer(graph, inputs)
+        g.infer(graph, inputs, mode=mode, plan=plan)
         timings.append(time.perf_counter() - t0)
     doc = {
         "model": graph.name,

@@ -146,9 +146,9 @@ def format_table(report: CostReport, assignment: Mapping[str, int] | None = None
     return "\n".join(lines)
 
 
-def report_to_dict(report: CostReport, assignment: Mapping[str, int] | None = None) -> dict:
+def report_to_dict(report: CostReport) -> dict:
     """Machine-readable form of a cost report."""
-    out: dict = {
+    return {
         "layers": [
             {"name": l.name, "params": l.params, "macs": l.macs, "bias_params": l.bias_params}
             for l in report.layers
@@ -157,7 +157,3 @@ def report_to_dict(report: CostReport, assignment: Mapping[str, int] | None = No
         "total_macs": report.total_macs,
         "overhead_bits": report.overhead_bits,
     }
-    if assignment is not None:
-        out["size_bits"] = model_size_bits(report, assignment)
-        out["bops"] = bops(report, assignment)
-    return out

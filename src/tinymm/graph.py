@@ -21,8 +21,10 @@ branches join. In quantized mode every hidden tensor stays integer;
 activations are requantized where two precisions meet (between layers of
 different widths and at the concat), and values are dequantized only at
 the softmax input. Calibration is an observer on the float walk that
-records each edge's min/max. A quantized plan is bound layer by layer by
-one binder, whether it is prepared from calibration or read from a blob.
+records each edge's min/max. A quantized plan holds one record per weighted
+layer (`LayerPlan`), bound by one binder whether it is prepared from
+calibration or read from a blob; `check_assignment` alone decides which
+per-layer widths a plan may have.
 """
 from __future__ import annotations
 
@@ -546,29 +548,69 @@ def calibrate(
 
 # -- quantized execution --------------------------------------------------------
 
+@dataclass(frozen=True)
+class LayerPlan:
+    """One weighted layer's integer weights, int32 bias and the params of the
+    edges it consumes, produces and (ds layers) passes between its stages."""
+
+    weights: dict[str, QuantTensor]
+    bias: np.ndarray
+    in_params: QuantParams
+    out_params: QuantParams
+    mid_params: QuantParams | None = None
+
+    @property
+    def bits(self) -> int:
+        return self.out_params.bits  # _bind_layer checked that every width agrees
+
+
 @dataclass
 class QuantizedPlan:
-    """Everything integer inference needs: weights, biases and edge params."""
+    """Everything integer inference needs: input, concat and per-layer params."""
 
     concat_params: QuantParams
     input_params: dict[str, QuantParams] = field(default_factory=dict)
-    assignment: dict[str, int] = field(default_factory=dict)
-    qweights: dict[str, dict[str, QuantTensor]] = field(default_factory=dict)
-    qbiases: dict[str, np.ndarray] = field(default_factory=dict)
-    in_params: dict[str, QuantParams] = field(default_factory=dict)   # each weighted layer consumes
-    out_params: dict[str, QuantParams] = field(default_factory=dict)  # each weighted layer produces
-    mid_params: dict[str, QuantParams] = field(default_factory=dict)  # depthwise stage of ds layers
+    layers: dict[str, LayerPlan] = field(default_factory=dict)
+
+    @property
+    def assignment(self) -> dict[str, int]:
+        return {name: lp.bits for name, lp in self.layers.items()}
 
 
-def _layer_bits(layer: LayerSpec, assignment: dict[str, int]) -> int:
-    if layer.name not in assignment:
-        raise MissingAssignmentError(f"no bits assigned for layer {layer.name!r}")
-    bits = int(assignment[layer.name])
-    if isinstance(layer.bit_policy, int) and bits != layer.bit_policy:
-        raise MissingAssignmentError(
-            f"layer {layer.name!r} is fixed at {layer.bit_policy} bits, assignment says {bits}"
-        )
-    return bits
+def _accumulator_terms(layer: LayerSpec) -> tuple[int, ...]:
+    """Products summed per output, per contraction of a weighted layer."""
+    if layer.kind == "dense":
+        return (layer.dense.in_features,)
+    k2, cin = layer.conv.kernel_size ** 2, layer.conv.in_channels
+    return (k2, cin) if layer.kind == "ds_conv2d" else (k2 * cin,)
+
+
+def check_assignment(graph: ModelGraph, bits: dict) -> dict[str, int]:
+    """bits as int widths, once it names each weighted layer and nothing else
+    (ParseError, MissingAssignmentError), each at 4 or 8 bits (ParseError) that
+    its pin allows (MissingAssignmentError) and its accumulator holds
+    (AccumulatorOverflowError)."""
+    layers = graph.weighted_layers
+    unknown = bits.keys() - {layer.name for layer in layers}
+    if unknown:
+        raise ParseError(f"assignment names no weighted layer of the model: {sorted(unknown)}")
+    out = {}
+    for layer in layers:
+        name = layer.name
+        if name not in bits:
+            raise MissingAssignmentError(f"no bits assigned for layer {name!r}")
+        width = bits[name]
+        if width not in (4, 8):
+            raise ParseError(f"layer {name!r}: width {width} is not 4 or 8")
+        width = int(width)
+        if isinstance(layer.bit_policy, int) and width != layer.bit_policy:
+            raise MissingAssignmentError(
+                f"layer {name!r} is fixed at {layer.bit_policy} bits, assignment says {width}"
+            )
+        for n in _accumulator_terms(layer):
+            ik.check_accumulator(n, width)
+        out[name] = width
+    return out
 
 
 def _stats_for(stats: dict[str, CalibrationStats], edge: str) -> CalibrationStats:
@@ -577,43 +619,23 @@ def _stats_for(stats: dict[str, CalibrationStats], edge: str) -> CalibrationStat
     return stats[edge]
 
 
-def _first_weighted_bits(graph, chain, assignment, default=8) -> int:
-    for name in chain:
-        layer = graph.layer(name)
-        if layer.kind in WEIGHTED_KINDS:
-            return _layer_bits(layer, assignment)
-    return default
-
-
-def _bind_layer(plan: QuantizedPlan, layer: LayerSpec, qws: dict[str, QuantTensor],
-                bias: Tensor) -> None:
-    """Record a weighted layer's bits and weights in a plan that already holds
-    its edge params, after checking its pin, its accumulator bound and that its
-    weights and edge params share one width. The bias is quantized at the
-    scale of the products it joins: (mid or in) x last weight."""
-    name = layer.name
-    last = list(qws.values())[-1]
-    bits = _layer_bits(layer, {name: last.params.bits})
-    if layer.kind == "ds_conv2d":
-        terms = (layer.conv.kernel_size ** 2, layer.conv.in_channels)
-        in_scale = plan.mid_params[name].scale
-    else:
-        terms = (layer.conv.kernel_size ** 2 * layer.conv.in_channels
-                 if layer.kind == "conv2d" else layer.dense.in_features,)
-        in_scale = plan.in_params[name].scale
-    for n in terms:
-        ik.check_accumulator(n, bits)
-    edges = (plan.in_params, plan.mid_params, plan.out_params)
-    widths = {q.params.bits for q in qws.values()} | {e[name].bits for e in edges if name in e}
-    if widths != {bits}:
+def _bind_layer(layer: LayerSpec, qws: dict[str, QuantTensor], bias: Tensor,
+                in_params: QuantParams, out_params: QuantParams,
+                mid_params: QuantParams | None) -> LayerPlan:
+    """A weighted layer's record, after checking that its weights and edge
+    params share one width. The bias is quantized at the scale of the
+    products it joins: (mid or in) x last weight."""
+    edges = (in_params, mid_params, out_params)
+    widths = {q.params.bits for q in qws.values()} | {p.bits for p in edges if p is not None}
+    if len(widths) != 1:
         raise PrecisionMismatchError(
-            f"layer {name!r} mixes widths {sorted(widths)} across its weights and edge params"
+            f"layer {layer.name!r} mixes widths {sorted(widths)} across its weights and edge params"
         )
     if not np.isfinite(bias.data).all():  # NaN has no integer bias
-        raise ParseError(f"layer {name!r} has a bias that is not finite")
-    plan.assignment[name] = bits
-    plan.qweights[name] = qws
-    plan.qbiases[name] = ik.quantize_bias(bias, in_scale, last.params.scale)
+        raise ParseError(f"layer {layer.name!r} has a bias that is not finite")
+    in_scale = (in_params if mid_params is None else mid_params).scale
+    qbias = ik.quantize_bias(bias, in_scale, list(qws.values())[-1].params.scale)
+    return LayerPlan(qws, qbias, in_params, out_params, mid_params)
 
 
 def prepare_quantized_plan(
@@ -622,29 +644,30 @@ def prepare_quantized_plan(
     stats: dict[str, CalibrationStats],
 ) -> QuantizedPlan:
     """Quantize weights and fix every edge's parameters ahead of execution."""
-    head_bits = _first_weighted_bits(graph, graph.head_chain, assignment)
-    plan = QuantizedPlan(affine_params(_stats_for(stats, graph.concat_name), head_bits))
+    bits = check_assignment(graph, assignment)
+
+    def first_bits(chain: list[str]) -> int:  # a chain's first weighted layer's, else 8
+        return next((bits[name] for name in chain if name in bits), 8)
+
+    plan = QuantizedPlan(affine_params(_stats_for(stats, graph.concat_name), first_bits(graph.head_chain)))
 
     def walk(chain: list[str], cur: QuantParams, cur_edge: str) -> None:
         for name in chain:
-            layer = graph.layer(name)
-            if layer.kind in WEIGHTED_KINDS:
-                bits = _layer_bits(layer, assignment)
-                if cur.bits != bits:
-                    cur = affine_params(_stats_for(stats, cur_edge), bits)
-                plan.in_params[name] = cur
-                plan.out_params[name] = affine_params(_stats_for(stats, name), bits)
-                if layer.kind == "ds_conv2d":
-                    plan.mid_params[name] = affine_params(_stats_for(stats, f"{name}.dw"), bits)
+            if name in bits:
+                layer, width = graph.layer(name), bits[name]
+                if cur.bits != width:
+                    cur = affine_params(_stats_for(stats, cur_edge), width)
+                out = affine_params(_stats_for(stats, name), width)
+                mid = (affine_params(_stats_for(stats, f"{name}.dw"), width)
+                       if layer.kind == "ds_conv2d" else None)
                 w = graph.weights[name]
-                qws = {k: quantize_tensor(t, bits) for k, t in w.items() if k != "b"}
-                _bind_layer(plan, layer, qws, w["b"])
-                cur = plan.out_params[name]
+                qws = {k: quantize_tensor(t, width) for k, t in w.items() if k != "b"}
+                plan.layers[name] = _bind_layer(layer, qws, w["b"], cur, out, mid)
+                cur = out
             cur_edge = name
 
     for chain in graph.branch_chains:
-        start_bits = _first_weighted_bits(graph, chain + graph.head_chain, assignment)
-        cur = affine_params(_stats_for(stats, chain[0]), start_bits)
+        cur = affine_params(_stats_for(stats, chain[0]), first_bits(chain + graph.head_chain))
         plan.input_params[chain[0]] = cur
         walk(chain[1:], cur, chain[0])
     walk(graph.head_chain[1:], plan.concat_params, graph.concat_name)
@@ -653,19 +676,18 @@ def prepare_quantized_plan(
 
 def _int_step(plan: QuantizedPlan, layer: LayerSpec, q: QuantTensor, see):
     if layer.kind in WEIGHTED_KINDS:
-        name = layer.name
-        want = plan.in_params[name]
-        if q.params != want:
-            q = ik.requantize_tensor(q, want)
-        w, bias, out = plan.qweights[name], plan.qbiases[name], plan.out_params[name]
+        lp = plan.layers[layer.name]
+        if q.params != lp.in_params:
+            q = ik.requantize_tensor(q, lp.in_params)
+        w = lp.weights
         if layer.kind == "conv2d":
-            return ik.conv2d_int(q, w["w"], bias, out, layer.conv)
+            return ik.conv2d_int(q, w["w"], lp.bias, lp.out_params, layer.conv)
         if layer.kind == "ds_conv2d":
-            mid = ik.depthwise_conv2d_int(q, w["dw"], plan.mid_params[name], layer.conv)
+            mid = ik.depthwise_conv2d_int(q, w["dw"], lp.mid_params, layer.conv)
             if see is not None:
-                see(f"{name}.dw", mid)
-            return ik.pointwise_conv2d_int(mid, w["pw"], bias, out)
-        return ik.dense_int(q, w["w"], bias, out)
+                see(f"{layer.name}.dw", mid)
+            return ik.pointwise_conv2d_int(mid, w["pw"], lp.bias, lp.out_params)
+        return ik.dense_int(q, w["w"], lp.bias, lp.out_params)
     if layer.kind == "maxpool":
         return ik.maxpool2d_int(q, layer.pool)
     if layer.kind == "relu":
@@ -721,22 +743,17 @@ def infer(
     graph: ModelGraph,
     inputs,
     mode: str = "float32",
-    assignment: dict[str, int] | None = None,
-    calibration: dict[str, CalibrationStats] | None = None,
     plan: QuantizedPlan | None = None,
     parallel_branches: bool = False,
 ) -> Tensor:
-    """Run the model end to end; returns the class probability vector."""
+    """Run the model end to end (quantized: a prepared or read plan); returns
+    the class probability vector."""
     pair = _as_input_dict(graph, inputs)
     if mode == "float32":
         return _run_float(graph, pair, parallel=parallel_branches)
     if mode == "quantized":
         if plan is None:
-            if assignment is None:
-                raise MissingAssignmentError("quantized mode needs a bit assignment")
-            if calibration is None:
-                raise MissingCalibrationError("quantized mode needs calibration stats")
-            plan = prepare_quantized_plan(graph, assignment, calibration)
+            raise MissingAssignmentError("quantized mode needs a plan")
         return _run_quantized(graph, plan, pair, parallel=parallel_branches)
     raise ParseError(f"unknown inference mode {mode!r}")
 
@@ -802,18 +819,18 @@ def _plan_layout(graph: ModelGraph) -> dict[str, tuple[tuple[int, ...], tuple[st
 def plan_to_records(graph: ModelGraph, plan: QuantizedPlan) -> list[Record]:
     """Serialize a quantized plan as blob records (weights packed to width)."""
     records: list[Record] = []
-    for name, bits in plan.assignment.items():
-        tag = DTYPE_I4 if bits == 4 else DTYPE_I8
-        for key, q in plan.qweights[name].items():
+    for name, lp in plan.layers.items():
+        tag = DTYPE_I4 if lp.bits == 4 else DTYPE_I8
+        for key, q in lp.weights.items():
             records.append(Record(f"{name}.{key}q", tag, q.shape, q.qdata))
             records.append(
                 Record(f"{name}.{key}_scale", DTYPE_F32, (1,), np.array([q.params.scale], dtype=np.float32))
             )
         records.append(Record(f"{name}.b", DTYPE_F32, graph.weights[name]["b"].shape, graph.weights[name]["b"].data))
-        records.append(_params_record(f"{name}.in_params", plan.in_params[name]))
-        records.append(_params_record(f"{name}.out_params", plan.out_params[name]))
-        if name in plan.mid_params:
-            records.append(_params_record(f"{name}.mid_params", plan.mid_params[name]))
+        records.append(_params_record(f"{name}.in_params", lp.in_params))
+        records.append(_params_record(f"{name}.out_params", lp.out_params))
+        if lp.mid_params is not None:
+            records.append(_params_record(f"{name}.mid_params", lp.mid_params))
     for name, p in plan.input_params.items():
         records.append(_params_record(f"{name}.params", p))
     records.append(_params_record(f"{graph.concat_name}.params", plan.concat_params))
@@ -821,32 +838,28 @@ def plan_to_records(graph: ModelGraph, plan: QuantizedPlan) -> list[Record]:
 
 
 def plan_from_records(graph: ModelGraph, records: dict[str, Record]) -> QuantizedPlan:
-    """Rebuild an executable plan from a quantized blob.
-
-    The records must match `_plan_layout` exactly, as a float blob must
-    match its layout in `assemble_model`. Each layer's weights and edge
-    params must share one width, which must honour its config pin and fit
-    the 32-bit accumulator bound, as in `prepare_quantized_plan`.
+    """Rebuild an executable plan from a quantized blob whose records match
+    `_plan_layout` exactly, as a float blob must match its layout in
+    `assemble_model`. A layer's last weight record gives its width, which must
+    pass `check_assignment` and agree with its other weights and edge params.
     """
     recs = _take_records(records, _plan_layout(graph), "quantized blob")
 
     def params(name: str) -> QuantParams:
         return _params_from_record(recs[name])
 
+    def weight(name: str) -> QuantTensor:
+        rec, scale = recs[f"{name}q"], float(recs[f"{name}_scale"].values[0])
+        return QuantTensor(rec.values.reshape(rec.shape), QuantParams(scale, 0, 4 if rec.dtype == DTYPE_I4 else 8))
+
+    qweights = {name: {k: weight(f"{name}.{k}") for k in w if k != "b"} for name, w in graph.weights.items()}
+    check_assignment(graph, {name: list(qws.values())[-1].params.bits for name, qws in qweights.items()})
     plan = QuantizedPlan(params(f"{graph.concat_name}.params"),
                          {name: params(f"{name}.params") for name in graph.input_names})
     for layer in graph.weighted_layers:
         name = layer.name
-        qws: dict[str, QuantTensor] = {}
-        for key in ("dw", "pw") if layer.kind == "ds_conv2d" else ("w",):
-            rec = recs[f"{name}.{key}q"]
-            scale = float(recs[f"{name}.{key}_scale"].values[0])
-            bits = 4 if rec.dtype == DTYPE_I4 else 8
-            qws[key] = QuantTensor(rec.values.reshape(rec.shape), QuantParams(scale, 0, bits))
-        plan.in_params[name] = params(f"{name}.in_params")
-        plan.out_params[name] = params(f"{name}.out_params")
-        if layer.kind == "ds_conv2d":
-            plan.mid_params[name] = params(f"{name}.mid_params")
+        mid = params(f"{name}.mid_params") if layer.kind == "ds_conv2d" else None
         bias = recs[f"{name}.b"]
-        _bind_layer(plan, layer, qws, Tensor(bias.values.reshape(bias.shape)))
+        plan.layers[name] = _bind_layer(layer, qweights[name], Tensor(bias.values.reshape(bias.shape)),
+                                        params(f"{name}.in_params"), params(f"{name}.out_params"), mid)
     return plan

@@ -72,6 +72,28 @@ def tiny_model(seed=0, with_bn=True, zero_weights=False):
     return assemble_model(tiny_config(with_bn), records)
 
 
+def wide_config():
+    """A two-branch model whose 32,897-input dense layer `a_fc` can overflow a
+    32-bit accumulator at 8 bits but not at 4."""
+    return {"schema": SCHEMA, "name": "wide", "layers": [
+        {"name": "a_in", "kind": "input", "shape": [32897]},
+        {"name": "a_fc", "kind": "dense", "inputs": ["a_in"], "out_features": 2},
+        {"name": "b_in", "kind": "input", "shape": [2]},
+        {"name": "b_fc", "kind": "dense", "inputs": ["b_in"], "out_features": 2},
+        {"name": "join", "kind": "concat", "inputs": ["a_fc", "b_fc"]},
+        {"name": "h_fc", "kind": "dense", "inputs": ["join"], "out_features": 2},
+        {"name": "probs", "kind": "softmax", "inputs": ["h_fc"]},
+    ]}
+
+
+def wide_records(seed=13):
+    rng = np.random.default_rng(seed)
+    shapes = {"a_fc.w": (32897, 2), "b_fc.w": (2, 2), "h_fc.w": (4, 2),
+              "a_fc.b": (2,), "b_fc.b": (2,), "h_fc.b": (2,)}
+    return {n: Record(n, DTYPE_F32, s, rng.normal(size=s).astype(np.float32).reshape(-1))
+            for n, s in shapes.items()}
+
+
 # JSON values a malformed config may hold where another type belongs
 # (json.load also accepts NaN and Infinity)
 CONFIG_JUNK = (

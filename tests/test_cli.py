@@ -17,7 +17,7 @@ from tinymm.graph import cost_report, sensitivity_table
 from tinymm.image import save_ppm
 from tinymm.reference_models import build_reference, reference_config, reference_weight_records
 
-from model_fixtures import mutated_config, tiny_config, tiny_records
+from model_fixtures import mutated_config, tiny_config, tiny_records, wide_config, wide_records
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +233,7 @@ _MISFIT_ASSIGNMENTS = {
     "misses-a-layer": {"head_fc1": None},
     "contradicts-a-pin": {_PIN: 4},
     "width-not-4-or-8": {"speech_sep1": 6},
+    "names-an-unknown-layer": {"cough_conv9": 6},
 }
 
 
@@ -281,6 +282,21 @@ def test_assignment_that_honours_the_pin_runs(tmp_path, media, pinned_covid):
     assn = tmp_path / "assn.json"
     assn.write_text(_misfit_text({}))
     assert main(["bench", *pinned_covid, "--reps", "1", "--quantized", str(assn)]) == 0
+
+
+def test_assignment_that_can_overflow_the_accumulator_exit_2(tmp_path, capsys):
+    # a_fc's 32,897 products of 8-bit operands can leave int32: a load failure,
+    # found before any input is read (bench used to report it as calibration's)
+    (tmp_path / "wide.json").write_text(json.dumps(wide_config()))
+    write_blob(tmp_path / "w.tmmw", list(wide_records().values()))
+    model = [str(tmp_path / "wide.json"), "--weights", str(tmp_path / "w.tmmw")]
+    assn = _assignment_file(tmp_path / "assn.json", {"a_fc": 8, "b_fc": 8, "h_fc": 8})
+    for argv in (["quantize", *model, "--assignment", assn, "--calibration-dir", str(tmp_path),
+                  "--out", str(tmp_path / "q.tmmw")],
+                 ["infer", *model, "--quantized", assn],
+                 ["bench", *model, "--reps", "1", "--quantized", assn]):
+        assert main(argv) == 2
+        assert "32-bit accumulator" in capsys.readouterr().err
 
 
 def test_infer_covid(tmp_path, media, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tinymm.allocate import build_problem, solve_exact
-from tinymm.blob import DTYPE_F32, DTYPE_I4, DTYPE_I8, Record, write_blob
+from tinymm.blob import DTYPE_F32, DTYPE_I4, DTYPE_I8, Record, read_blob, write_blob
 from tinymm.errors import (
     AccumulatorOverflowError,
     DanglingWeightsError,
@@ -19,7 +19,6 @@ from tinymm.errors import (
     TinymmError,
 )
 from tinymm.graph import (
-    SCHEMA,
     assemble_model,
     calibrate,
     cost_report,
@@ -40,7 +39,7 @@ from tinymm.reference_models import (
 )
 from tinymm.tensor import Tensor
 
-from model_fixtures import mutated_config, tiny_config, tiny_model, tiny_records
+from model_fixtures import mutated_config, tiny_config, tiny_model, tiny_records, wide_config, wide_records
 
 
 def _rand_inputs(graph, rng, scale=1.0):
@@ -342,9 +341,6 @@ def test_quantized_requires_calibration_and_assignment():
     inputs = _rand_inputs(graph, rng)
     with pytest.raises(MissingAssignmentError):
         infer(graph, inputs, mode="quantized")
-    assn = {l.name: 8 for l in graph.weighted_layers}
-    with pytest.raises(MissingCalibrationError):
-        infer(graph, inputs, mode="quantized", assignment=assn)
 
 
 def test_quantized_missing_edge_stats():
@@ -365,6 +361,17 @@ def test_assignment_must_cover_all_layers():
         prepare_quantized_plan(graph, {"a_conv": 8}, stats)
 
 
+def test_assignment_must_name_only_weighted_layers():
+    # a misspelt layer name used to be ignored
+    graph = tiny_model()
+    rng = np.random.default_rng(8)
+    stats = calibrate(graph, [_rand_inputs(graph, rng)])
+    assn = {l.name: 8 for l in graph.weighted_layers}
+    assn["a_fc9"] = 8
+    with pytest.raises(ParseError):
+        prepare_quantized_plan(graph, assn, stats)
+
+
 @pytest.mark.parametrize("bits_pattern", ["all8", "all4", "mixed"])
 def test_quantized_inference_runs_and_normalizes(bits_pattern):
     graph = tiny_model()
@@ -378,7 +385,8 @@ def test_quantized_inference_runs_and_normalizes(bits_pattern):
         assn = {n: 4 for n in names}
     else:
         assn = {n: (4 if i % 2 else 8) for i, n in enumerate(names)}
-    probs = infer(graph, pairs[0], mode="quantized", assignment=assn, calibration=stats)
+    plan = prepare_quantized_plan(graph, assn, stats)
+    probs = infer(graph, pairs[0], mode="quantized", plan=plan)
     assert abs(float(probs.data.sum()) - 1.0) <= 1e-6
 
 
@@ -420,13 +428,24 @@ def test_quantized_plan_blob_round_trip(tmp_path):
     plan = prepare_quantized_plan(graph, assn, stats)
     path = tmp_path / "q.tmmw"
     write_blob(path, plan_to_records(graph, plan))
-    from tinymm.blob import read_blob
-
     rebuilt = plan_from_records(graph, read_blob(path))
     assert rebuilt.assignment == plan.assignment
     a = infer(graph, pairs[0], mode="quantized", plan=plan)
     b = infer(graph, pairs[0], mode="quantized", plan=rebuilt)
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["all8", "mix"])
+def test_quantized_blob_bytes_survive_a_round_trip(tmp_path, mixed):
+    # a blob read back and written again is the same blob, record for record
+    graph = tiny_model()
+    rng = np.random.default_rng(15)
+    stats = calibrate(graph, [_rand_inputs(graph, rng) for _ in range(2)])
+    assn = {l.name: (4 if mixed and i % 2 else 8) for i, l in enumerate(graph.weighted_layers)}
+    first, second = tmp_path / "first.tmmw", tmp_path / "second.tmmw"
+    write_blob(first, plan_to_records(graph, prepare_quantized_plan(graph, assn, stats)))
+    write_blob(second, plan_to_records(graph, plan_from_records(graph, read_blob(first))))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def _quantized_records(graph, bits):
@@ -447,22 +466,7 @@ def test_plan_from_records_checks_pins():
 
 def test_plan_from_records_checks_accumulator_bound():
     # 32,897 products of 8-bit operands can overflow a 32-bit accumulator
-    config = {"schema": SCHEMA, "name": "wide", "layers": [
-        {"name": "a_in", "kind": "input", "shape": [32897]},
-        {"name": "a_fc", "kind": "dense", "inputs": ["a_in"], "out_features": 2},
-        {"name": "b_in", "kind": "input", "shape": [2]},
-        {"name": "b_fc", "kind": "dense", "inputs": ["b_in"], "out_features": 2},
-        {"name": "join", "kind": "concat", "inputs": ["a_fc", "b_fc"]},
-        {"name": "h_fc", "kind": "dense", "inputs": ["join"], "out_features": 2},
-        {"name": "probs", "kind": "softmax", "inputs": ["h_fc"]},
-    ]}
-    rng = np.random.default_rng(13)
-    shapes = {"a_fc.w": (32897, 2), "b_fc.w": (2, 2), "h_fc.w": (4, 2),
-              "a_fc.b": (2,), "b_fc.b": (2,), "h_fc.b": (2,)}
-    graph = assemble_model(config, {
-        n: Record(n, DTYPE_F32, s, rng.normal(size=s).astype(np.float32).reshape(-1))
-        for n, s in shapes.items()
-    })
+    graph = assemble_model(wide_config(), wide_records())
     records = _quantized_records(graph, 4)
     wq = records["a_fc.wq"]
     records["a_fc.wq"] = Record(wq.name, DTYPE_I8, wq.shape, wq.values)  # claims 8 bits

@@ -96,57 +96,57 @@ def test_quantized_pipeline_matches_composed_int_sims():
     # a branch
     p_in = plan.input_params["a_in"]
     qa = _quant_scalar_array(x["a_in"].data, p_in)
-    if p_in != plan.in_params["a_conv"]:
-        qa = _requant_scalar_array(qa, p_in, plan.in_params["a_conv"])
-        p_in = plan.in_params["a_conv"]
-    qw = plan.qweights["a_conv"]["w"]
+    if p_in != plan.layers["a_conv"].in_params:
+        qa = _requant_scalar_array(qa, p_in, plan.layers["a_conv"].in_params)
+        p_in = plan.layers["a_conv"].in_params
+    qw = plan.layers["a_conv"].weights["w"]
     qa = oracles.conv2d_int_sim(qa, p_in, qw.qdata, qw.params.scale,
-                                plan.qbiases["a_conv"], plan.out_params["a_conv"])
-    cur = plan.out_params["a_conv"]
+                                plan.layers["a_conv"].bias, plan.layers["a_conv"].out_params)
+    cur = plan.layers["a_conv"].out_params
     qa = np.maximum(qa, cur.zero_point)          # relu on the payload
     qa = _maxpool_int(qa, 2)
     qa = qa.reshape(-1)                          # flatten, row major
-    if cur != plan.in_params["a_fc"]:
-        qa = _requant_scalar_array(qa, cur, plan.in_params["a_fc"])
-        cur = plan.in_params["a_fc"]
-    qw = plan.qweights["a_fc"]["w"]
+    if cur != plan.layers["a_fc"].in_params:
+        qa = _requant_scalar_array(qa, cur, plan.layers["a_fc"].in_params)
+        cur = plan.layers["a_fc"].in_params
+    qw = plan.layers["a_fc"].weights["w"]
     qa = oracles.dense_int_sim(qa, cur, qw.qdata, qw.params.scale,
-                               plan.qbiases["a_fc"], plan.out_params["a_fc"])
-    pa = plan.out_params["a_fc"]
+                               plan.layers["a_fc"].bias, plan.layers["a_fc"].out_params)
+    pa = plan.layers["a_fc"].out_params
 
     # b branch
     p_in = plan.input_params["b_in"]
     qb = _quant_scalar_array(x["b_in"].data, p_in)
-    if p_in != plan.in_params["b_sep"]:
-        qb = _requant_scalar_array(qb, p_in, plan.in_params["b_sep"])
-        p_in = plan.in_params["b_sep"]
-    dw = plan.qweights["b_sep"]["dw"]
-    pw = plan.qweights["b_sep"]["pw"]
+    if p_in != plan.layers["b_sep"].in_params:
+        qb = _requant_scalar_array(qb, p_in, plan.layers["b_sep"].in_params)
+        p_in = plan.layers["b_sep"].in_params
+    dw = plan.layers["b_sep"].weights["dw"]
+    pw = plan.layers["b_sep"].weights["pw"]
     mid = oracles.depthwise_int_sim(qb, p_in, dw.qdata, dw.params.scale,
-                                    plan.mid_params["b_sep"], padding="same")
-    qb = oracles.pointwise_int_sim(mid, plan.mid_params["b_sep"], pw.qdata,
-                                   pw.params.scale, plan.qbiases["b_sep"],
-                                   plan.out_params["b_sep"])
-    cur = plan.out_params["b_sep"]
+                                    plan.layers["b_sep"].mid_params, padding="same")
+    qb = oracles.pointwise_int_sim(mid, plan.layers["b_sep"].mid_params, pw.qdata,
+                                   pw.params.scale, plan.layers["b_sep"].bias,
+                                   plan.layers["b_sep"].out_params)
+    cur = plan.layers["b_sep"].out_params
     qb = np.maximum(qb, cur.zero_point)
     qb = qb.reshape(-1)
-    if cur != plan.in_params["b_fc"]:
-        qb = _requant_scalar_array(qb, cur, plan.in_params["b_fc"])
-        cur = plan.in_params["b_fc"]
-    qw = plan.qweights["b_fc"]["w"]
+    if cur != plan.layers["b_fc"].in_params:
+        qb = _requant_scalar_array(qb, cur, plan.layers["b_fc"].in_params)
+        cur = plan.layers["b_fc"].in_params
+    qw = plan.layers["b_fc"].weights["w"]
     qb = oracles.dense_int_sim(qb, cur, qw.qdata, qw.params.scale,
-                               plan.qbiases["b_fc"], plan.out_params["b_fc"])
-    pb = plan.out_params["b_fc"]
+                               plan.layers["b_fc"].bias, plan.layers["b_fc"].out_params)
+    pb = plan.layers["b_fc"].out_params
 
     # head: both sides meet at the concat parameters
     qa = _requant_scalar_array(qa, pa, plan.concat_params)
     qb = _requant_scalar_array(qb, pb, plan.concat_params)
     joined = np.concatenate([qa, qb])
-    qw = plan.qweights["h_fc"]["w"]
+    qw = plan.layers["h_fc"].weights["w"]
     logits_q = oracles.dense_int_sim(joined, plan.concat_params, qw.qdata,
-                                     qw.params.scale, plan.qbiases["h_fc"],
-                                     plan.out_params["h_fc"])
-    out_p = plan.out_params["h_fc"]
+                                     qw.params.scale, plan.layers["h_fc"].bias,
+                                     plan.layers["h_fc"].out_params)
+    out_p = plan.layers["h_fc"].out_params
     logits = ((logits_q.astype(np.float64) - out_p.zero_point) * out_p.scale).astype(np.float32)
     want = _stable_softmax(logits)
 
