@@ -20,11 +20,13 @@ each mode supplies how an input enters, one per-layer step and how the
 branches join. In quantized mode every hidden tensor stays integer;
 activations are requantized where two precisions meet (between layers of
 different widths and at the concat), and values are dequantized only at
-the softmax input. Calibration is an observer on the float walk that
-records each edge's min/max. A quantized plan holds one record per weighted
-layer (`LayerPlan`), bound by one binder whether it is prepared from
-calibration or read from a blob; `check_assignment` alone decides which
-per-layer widths a plan may have.
+the softmax input. The integer walk runs each weighted layer together with
+the ReLU / max-pool / dropout layers directly after it, as its kernel's
+fused epilogue (`_epilogues`). Calibration is an observer on the float walk
+that records each edge's min/max. A quantized plan holds one record per
+weighted layer (`LayerPlan`), bound by one binder whether it is prepared
+from calibration or read from a blob; `check_assignment` alone decides
+which per-layer widths a plan may have.
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ ALL_KINDS = WEIGHTED_KINDS + (
     "batchnorm",
     "concat",
 )
+EPILOGUE_KINDS = ("relu", "maxpool", "dropout")  # fused into the weighted layer before them
 
 
 @dataclass
@@ -108,6 +111,7 @@ class ModelGraph:
 
     def __post_init__(self):
         self._by_name = {l.name: l for l in self.layers}
+        self._epilogues, self._absorbed = _epilogues(self)
 
     @property
     def weighted_layers(self) -> list[LayerSpec]:
@@ -116,6 +120,36 @@ class ModelGraph:
     @property
     def num_classes(self) -> int:
         return self.shapes[self.output_name][0]
+
+
+def _epilogues(graph: ModelGraph) -> tuple[dict[str, tuple[bool, K.PoolSpec | None]], frozenset[str]]:
+    """Each weighted layer's integer epilogue (relu, pool), taken from the
+    maximal run of EPILOGUE_KINDS layers directly after it in its chain, and
+    the names of the layers so absorbed.
+
+    Consecutive pools compose into one pool of their sizes' product: both
+    drop the same remainder and take the max over the same windows.
+    """
+    epilogues: dict[str, tuple[bool, K.PoolSpec | None]] = {}
+    absorbed = set()
+    for chain in (*graph.branch_chains, graph.head_chain):
+        owner = None
+        for name in chain:
+            layer = graph.layer(name)
+            if layer.kind in WEIGHTED_KINDS:
+                owner = name
+                epilogues[owner] = (False, None)
+            elif owner is not None and layer.kind in EPILOGUE_KINDS:
+                relu, pool = epilogues[owner]
+                if layer.kind == "relu":
+                    relu = True
+                elif layer.kind == "maxpool":
+                    pool = layer.pool if pool is None else K.PoolSpec(pool.pool_size * layer.pool.pool_size)
+                epilogues[owner] = (relu, pool)
+                absorbed.add(name)
+            else:
+                owner = None
+    return epilogues, frozenset(absorbed)
 
 
 # -- config parsing -----------------------------------------------------------
@@ -479,8 +513,8 @@ def _forward(graph: ModelGraph, pair: dict[str, Tensor], ctx, enter, step, join,
 
     enter(name, tensor) gives a branch's first value, step(ctx, layer,
     value, observe) runs one layer and join(a, b) is the concat. ctx (the
-    graph or the plan) is passed to step rather than bound into it, which
-    saves a partial-object call per layer. observe(edge, value), when
+    graph, or the graph and the plan) is passed to step rather than bound
+    into it, which saves a partial-object call per layer. observe(edge, value), when
     given, sees every edge (step reports a ds layer's inner `<name>.dw`),
     and the branches then run sequentially.
     """
@@ -674,20 +708,27 @@ def prepare_quantized_plan(
     return plan
 
 
-def _int_step(plan: QuantizedPlan, layer: LayerSpec, q: QuantTensor, see):
+def _int_step(ctx: tuple[ModelGraph, QuantizedPlan], layer: LayerSpec, q: QuantTensor, see):
+    """One layer of the integer walk. A weighted layer's kernel also runs its
+    epilogue, so the layers that epilogue absorbed pass their value on: their
+    edges carry the value after the whole run."""
+    graph, plan = ctx
     if layer.kind in WEIGHTED_KINDS:
         lp = plan.layers[layer.name]
         if q.params != lp.in_params:
             q = ik.requantize_tensor(q, lp.in_params)
         w = lp.weights
+        relu, pool = graph._epilogues[layer.name]
         if layer.kind == "conv2d":
-            return ik.conv2d_int(q, w["w"], lp.bias, lp.out_params, layer.conv)
+            return ik.conv2d_int(q, w["w"], lp.bias, lp.out_params, layer.conv, relu=relu, pool=pool)
         if layer.kind == "ds_conv2d":
             mid = ik.depthwise_conv2d_int(q, w["dw"], lp.mid_params, layer.conv)
             if see is not None:
                 see(f"{layer.name}.dw", mid)
-            return ik.pointwise_conv2d_int(mid, w["pw"], lp.bias, lp.out_params)
-        return ik.dense_int(q, w["w"], lp.bias, lp.out_params)
+            return ik.pointwise_conv2d_int(mid, w["pw"], lp.bias, lp.out_params, relu=relu, pool=pool)
+        return ik.dense_int(q, w["w"], lp.bias, lp.out_params, relu=relu)
+    if layer.name in graph._absorbed:
+        return q
     if layer.kind == "maxpool":
         return ik.maxpool2d_int(q, layer.pool)
     if layer.kind == "relu":
@@ -716,7 +757,7 @@ def _run_quantized(
         qb = ik.requantize_tensor(qb, plan.concat_params)
         return QuantTensor(np.concatenate([qa.qdata, qb.qdata]), plan.concat_params)
 
-    return _forward(graph, pair, plan, enter, _int_step, join, parallel)
+    return _forward(graph, pair, (graph, plan), enter, _int_step, join, parallel)
 
 
 # -- public inference ----------------------------------------------------------
@@ -739,6 +780,19 @@ def _as_input_dict(graph: ModelGraph, inputs) -> dict[str, Tensor]:
     return pair
 
 
+def _check_plan_fits(graph: ModelGraph, plan: QuantizedPlan) -> None:
+    """A plan must hold a record for each weighted layer and nothing else, and
+    params for each input."""
+    names = {layer.name for layer in graph.weighted_layers}
+    missing, extra = names - plan.layers.keys(), plan.layers.keys() - names
+    inputs = set(graph.input_names) - plan.input_params.keys()
+    if missing or extra or inputs:
+        raise MissingAssignmentError(
+            f"plan does not fit model {graph.name!r}: layers missing {sorted(missing)}, "
+            f"unknown layers {sorted(extra)}, inputs missing {sorted(inputs)}"
+        )
+
+
 def infer(
     graph: ModelGraph,
     inputs,
@@ -754,6 +808,7 @@ def infer(
     if mode == "quantized":
         if plan is None:
             raise MissingAssignmentError("quantized mode needs a plan")
+        _check_plan_fits(graph, plan)
         return _run_quantized(graph, plan, pair, parallel=parallel_branches)
     raise ParseError(f"unknown inference mode {mode!r}")
 

@@ -18,7 +18,13 @@ from tinymm.errors import (
     ShapeMismatchError,
     TinymmError,
 )
+from tinymm import integer_kernels as ik
 from tinymm.graph import (
+    SCHEMA,
+    QuantizedPlan,
+    _expected_records,
+    _infer_shapes,
+    _parse_layer,
     assemble_model,
     calibrate,
     cost_report,
@@ -31,13 +37,13 @@ from tinymm.graph import (
 )
 from tinymm import kernels as K
 from tinymm.kernels import conv2d_fp, relu
-from tinymm.quantize import layer_sensitivity
+from tinymm.quantize import dequantize, layer_sensitivity, quantize_array
 from tinymm.reference_models import (
     build_reference,
     reference_config,
     reference_weight_records,
 )
-from tinymm.tensor import Tensor
+from tinymm.tensor import QuantTensor, Tensor
 
 from model_fixtures import mutated_config, tiny_config, tiny_model, tiny_records, wide_config, wide_records
 
@@ -400,6 +406,134 @@ def test_sequential_and_parallel_identical_quantized():
     a = infer(graph, pairs[0], mode="quantized", plan=plan)
     b = infer(graph, pairs[0], mode="quantized", plan=plan, parallel_branches=True)
     assert np.array_equal(a.data, b.data)
+
+
+def test_plan_that_does_not_fit_the_graph_is_rejected():
+    # a plan missing a layer used to raise a bare KeyError
+    graph = tiny_model()
+    pair = _rand_inputs(graph, np.random.default_rng(16))
+    plan = prepare_quantized_plan(graph, {l.name: 8 for l in graph.weighted_layers}, calibrate(graph, [pair]))
+    layers, inputs = plan.layers, plan.input_params
+    for bad in (
+        QuantizedPlan(plan.concat_params, inputs, {k: v for k, v in layers.items() if k != "a_conv"}),
+        QuantizedPlan(plan.concat_params, inputs, {**layers, "a_conv9": layers["a_conv"]}),
+        QuantizedPlan(plan.concat_params, {"a_in": inputs["a_in"]}, layers),
+    ):
+        with pytest.raises(MissingAssignmentError):
+            infer(graph, pair, mode="quantized", plan=bad)
+
+
+def _step_by_step_int(graph, plan, inputs):
+    """Quantized inference one layer at a time, each ReLU and max-pool by its
+    own kernel: the integer walk as it ran before epilogues were fused."""
+    def step(layer, q):
+        if layer.kind in ("conv2d", "ds_conv2d", "dense"):
+            lp = plan.layers[layer.name]
+            if q.params != lp.in_params:
+                q = ik.requantize_tensor(q, lp.in_params)
+            w = lp.weights
+            if layer.kind == "conv2d":
+                return ik.conv2d_int(q, w["w"], lp.bias, lp.out_params, layer.conv)
+            if layer.kind == "ds_conv2d":
+                return ik.depthwise_separable_conv2d_int(q, w["dw"], w["pw"], lp.bias, lp.mid_params,
+                                                         lp.out_params, layer.conv)
+            return ik.dense_int(q, w["w"], lp.bias, lp.out_params)
+        if layer.kind == "maxpool":
+            return ik.maxpool2d_int(q, layer.pool)
+        if layer.kind == "relu":
+            return ik.relu_int(q)
+        if layer.kind == "flatten":
+            return ik.flatten_int(q)
+        if layer.kind == "dropout":
+            return q
+        assert layer.kind == "softmax"
+        return K.softmax(dequantize(q))
+
+    def walk(chain, q):
+        for name in chain[1:]:
+            q = step(graph.layer(name), q)
+        return q
+
+    def enter(name):
+        p = plan.input_params[name]
+        return QuantTensor(quantize_array(inputs[name].data, p), p)
+
+    a, b = (ik.requantize_tensor(walk(c, enter(c[0])), plan.concat_params) for c in graph.branch_chains)
+    return walk(graph.head_chain, QuantTensor(np.concatenate([a.qdata, b.qdata]), plan.concat_params))
+
+
+def _config_records(config, seed):
+    layers = [_parse_layer(d) for d in config["layers"]]
+    shapes = _infer_shapes(layers, config["layers"])
+    rng = np.random.default_rng(seed)
+    return {name: Record(name, DTYPE_F32, shape, rng.normal(0, 0.5, size=shape).astype(np.float32).reshape(-1))
+            for layer in layers for name, shape in _expected_records(layer, shapes).items()}
+
+
+def _fusion_config():
+    """Branch a: conv -> relu -> dropout -> maxpool, then a ReLU after the
+    flatten that follows no weighted layer. Branch b: ds -> maxpool -> relu ->
+    maxpool. Head: dense -> relu -> dropout -> dense."""
+    def chain(*docs):
+        for prev, doc in zip(docs, docs[1:]):
+            doc["inputs"] = [prev["name"]]
+        return list(docs)
+
+    a = chain({"name": "a_in", "kind": "input", "shape": [9, 8, 1]},
+              {"name": "a_conv", "kind": "conv2d", "out_channels": 3, "kernel_size": 3},
+              {"name": "a_relu", "kind": "relu"},
+              {"name": "a_drop", "kind": "dropout", "rate": 0.2},
+              {"name": "a_pool", "kind": "maxpool", "pool_size": 2},
+              {"name": "a_flat", "kind": "flatten"},
+              {"name": "a_frelu", "kind": "relu"},
+              {"name": "a_fc", "kind": "dense", "out_features": 5})
+    b = chain({"name": "b_in", "kind": "input", "shape": [11, 10, 2]},
+              {"name": "b_sep", "kind": "ds_conv2d", "out_channels": 4, "kernel_size": 3, "padding": "same"},
+              {"name": "b_pool", "kind": "maxpool", "pool_size": 2},
+              {"name": "b_relu", "kind": "relu"},
+              {"name": "b_pool2", "kind": "maxpool", "pool_size": 2},
+              {"name": "b_flat", "kind": "flatten"},
+              {"name": "b_fc", "kind": "dense", "out_features": 5})
+    head = chain({"name": "join", "kind": "concat", "inputs": ["a_fc", "b_fc"]},
+                 {"name": "h_fc", "kind": "dense", "out_features": 6},
+                 {"name": "h_relu", "kind": "relu"},
+                 {"name": "h_drop", "kind": "dropout", "rate": 0.2},
+                 {"name": "h_out", "kind": "dense", "out_features": 3},
+                 {"name": "probs", "kind": "softmax"})
+    return {"schema": SCHEMA, "name": "fusion", "layers": a + b + head}
+
+
+def _fusion_model():
+    config = _fusion_config()
+    return assemble_model(config, _config_records(config, 17))
+
+
+@pytest.mark.parametrize("model", ["covid", "battlefield", "fusion"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["all8", "mix"])
+def test_fused_integer_walk_matches_step_by_step(model, mixed, monkeypatch):
+    graph = _fusion_model() if model == "fusion" else build_reference(model)
+    rng = np.random.default_rng(18)
+    pairs = [_rand_inputs(graph, rng) for _ in range(3)]
+    stats = calibrate(graph, pairs[:2])
+    if mixed:  # the allocator's 4/8 mix at 6 bits per weight
+        report = cost_report(graph)
+        assn = solve_exact(build_problem(report, sensitivity_table(graph), 6 * report.total_params)).bits
+        assert set(assn.values()) == {4, 8}
+    else:
+        assn = {l.name: 8 for l in graph.weighted_layers}
+    plan = prepare_quantized_plan(graph, assn, stats)
+    wants = [_step_by_step_int(graph, plan, pair).data for pair in pairs]
+
+    calls = []
+    for name in ("relu_int", "maxpool2d_int"):
+        kernel = getattr(ik, name)
+        monkeypatch.setattr(ik, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+    for pair, want in zip(pairs, wants):
+        for parallel in (False, True):
+            got = infer(graph, pair, mode="quantized", plan=plan, parallel_branches=parallel)
+            assert np.array_equal(got.data, want)
+    # only the fusion model's ReLU after a flatten runs on its own, once per infer
+    assert calls == (["relu_int"] * 6 if model == "fusion" else [])
 
 
 def test_float_vs_int8_argmax_agreement():

@@ -1,8 +1,10 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from tinymm import integer_kernels as ik
 from tinymm.errors import (
     AccumulatorOverflowError,
     KernelTooLargeError,
@@ -13,6 +15,7 @@ from tinymm.errors import (
 from tinymm.integer_kernels import (
     ACC_LIMIT,
     BIAS_LIMIT,
+    REQUANT_TILE,
     check_accumulator,
     conv2d_int,
     dense_int,
@@ -24,9 +27,9 @@ from tinymm.integer_kernels import (
     relu_int,
     requantize_tensor,
     _contraction_dtype,
-    _requantize_into,
+    _requantize,
 )
-from tinymm.kernels import ConvSpec, PoolSpec
+from tinymm.kernels import ConvSpec, PoolSpec, _maxpool_core, conv2d_fp
 from tinymm.quantize import CalibrationStats, affine_params, quantize_tensor
 from tinymm.tensor import QuantParams, QuantTensor, Tensor
 
@@ -223,20 +226,23 @@ def test_requantize_in_place_matches_formula(bits, zero_point):
         np.arange(-41, 42, dtype=np.float64),  # with multiplier 0.5: every x.5 tie
         [-(2.0 ** 31 - 1), 2.0 ** 31 - 1, 0.0],  # far outside either range: saturates
     ])
-    for multiplier in (0.5, 0.25, 1.5, 3.7e-3, 1.0 / 3.0):
-        want = _requantize_formula(acc, multiplier, p)
-        buf = acc.copy()
-        got = _requantize_into(buf, multiplier, p)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, want)
-        assert np.array_equal(buf, want)  # the accumulator was overwritten, not copied
-    assert want.min() == p.qmin and want.max() == p.qmax
+    # two full tiles and a partial third, in float32 as a contraction leaves it
+    multi = rng.integers(-1_000, 1_000, size=2 * REQUANT_TILE + 777).astype(np.float32)
+    for buf in (acc, multi):
+        before = buf.copy()
+        for multiplier in (0.5, 0.25, 1.5, 3.7e-3, 1.0 / 3.0):
+            want = _requantize_formula(buf.astype(np.float64), multiplier, p)
+            got = _requantize(buf, None, multiplier, p, p.qmin)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+            assert np.array_equal(buf, before)  # the accumulator is read, not overwritten
+        assert want.min() == p.qmin and want.max() == p.qmax
 
 
 def test_requantize_ties_round_half_to_even():
     p = QuantParams(scale=1.0, zero_point=1, bits=8)
     acc = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])  # x 0.5: -2.5 ... 2.5
-    assert _requantize_into(acc, 0.5, p).tolist() == [-1, -1, 1, 1, 3, 3]
+    assert _requantize(acc, None, 0.5, p, p.qmin).tolist() == [-1, -1, 1, 1, 3, 3]
 
 
 @pytest.mark.parametrize("bits", [4, 8])
@@ -252,6 +258,99 @@ def test_requantize_tensor_ties_and_saturation(bits):
     clipped = requantize_tensor(QuantTensor(payload, src), narrow).qdata
     assert clipped.min() == narrow.qmin and clipped.max() == narrow.qmax
     assert np.array_equal(clipped, _requantize_formula(payload + 1.0, 20.0, narrow))
+
+
+def _unfused(out, relu, pool):
+    """The epilogue as separate layers: relu_int, then maxpool2d_int."""
+    if relu:
+        out = relu_int(out)
+    return out if pool is None else maxpool2d_int(out, pool)
+
+
+def _fused_kernels(rng, bits, shape, n, padding):
+    """Each fusing kernel on random operands, as run(out_params, **epilogue),
+    with the float output whose range fits its output params."""
+    m = shape[2]
+    q_in = _rand_quant(rng, shape, bits)
+    w = quantize_tensor(Tensor(rng.normal(size=(3, 3, m, n)).astype(np.float32)), bits)
+    dw = quantize_tensor(Tensor(rng.normal(size=(3, 3, m)).astype(np.float32)), bits)
+    pw = quantize_tensor(Tensor(rng.normal(size=(1, 1, m, n)).astype(np.float32)), bits)
+    flat = int(np.prod(shape))
+    dense_w = quantize_tensor(Tensor(rng.normal(size=(flat, n)).astype(np.float32)), bits)
+    bias = rng.integers(-2000, 2000, size=n).astype(np.int64)
+    mid_p = _affine_from(rng.normal(scale=4, size=16), bits)
+    spec = _spec(m, n, padding=padding)
+    from tinymm.quantize import dequantize
+
+    fp = conv2d_fp(dequantize(q_in), Tensor(w.qdata * w.params.scale),
+                   Tensor(bias * q_in.params.scale * w.params.scale), spec).data
+    return fp, {
+        "conv": lambda p, **kw: conv2d_int(q_in, w, bias, p, spec, **kw),
+        "pointwise": lambda p, **kw: pointwise_conv2d_int(q_in, pw, bias, p, **kw),
+        "ds": lambda p, **kw: depthwise_separable_conv2d_int(q_in, dw, pw, bias, mid_p, p, spec, **kw),
+        "dense": lambda p, **kw: dense_int(q_in.reshape((flat,)), dense_w, bias, p, **kw),
+    }
+
+
+@pytest.mark.parametrize("tile", [REQUANT_TILE, 40], ids=["tile", "tile40"])
+@pytest.mark.parametrize("bits", [4, 8])
+def test_fused_epilogue_matches_unfused_composition(bits, tile, monkeypatch):
+    """k(..., relu=True, pool=P) equals maxpool2d_int(relu_int(k(...)), P) bit
+    for bit: zero points at qmin, in the middle and at qmax, fitted and
+    saturating output scales, pools that leave odd remainders. 40-element
+    tiles split every output into many tiles, and a 50-wide dense row into
+    tiles of one row that is longer than a tile."""
+    monkeypatch.setattr(ik, "REQUANT_TILE", tile)
+    rng = np.random.default_rng(40 + bits)
+    qmin, qmax = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    seen_spread = False
+    for shape, n, padding in [((11, 9, 3), 4, "valid"), ((11, 9, 2), 50, "same")]:
+        fp, kernels = _fused_kernels(rng, bits, shape, n, padding)
+        fitted = _affine_from(fp, bits).scale
+        for zp in (qmin, 0, qmax):
+            for scale in (fitted, fitted * 1e-3):
+                p = QuantParams(scale=scale, zero_point=zp, bits=bits)
+                for name, run in kernels.items():
+                    plain = run(p)
+                    seen_spread |= len(np.unique(plain.qdata)) > 4
+                    pools = [None] if name == "dense" else [None, PoolSpec(2), PoolSpec(3)]
+                    for relu in (False, True):
+                        for pool in pools:
+                            kw = {"relu": relu} if name == "dense" else {"relu": relu, "pool": pool}
+                            got = run(p, **kw)
+                            want = _unfused(plain, relu, pool)
+                            assert got.params == p and got.qdata.dtype == np.int32
+                            assert np.array_equal(got.qdata, want.qdata), (name, zp, scale, relu, pool)
+    assert seen_spread
+
+    # an output of two full tiles and a partial third, pooled and not, held
+    # to an int64 accumulation and the requantization formula
+    shape, n = (197, 203, 5), 7
+    q_in = _rand_quant(rng, shape, bits)
+    pw = quantize_tensor(Tensor(rng.normal(size=(1, 1, 5, n)).astype(np.float32)), bits)
+    bias = rng.integers(-2000, 2000, size=n).astype(np.int64)
+    acc = np.einsum("hwm,mn->hwn", q_in.qdata.astype(np.int64) - q_in.params.zero_point,
+                    pw.qdata.reshape(5, n).astype(np.int64)) + bias
+    assert acc.size > 8 * REQUANT_TILE and acc.size // 4 > 2 * REQUANT_TILE
+    p = _affine_from(rng.normal(scale=3, size=16), bits)
+    multiplier = q_in.params.scale * pw.params.scale / p.scale
+    formula = _requantize_formula(acc.astype(np.float64), multiplier, p)
+    for relu in (False, True):
+        for pool in (None, PoolSpec(2), PoolSpec(3)):
+            want = np.maximum(formula, p.zero_point) if relu else formula
+            want = want if pool is None else _maxpool_core(want, pool.pool_size)
+            got = pointwise_conv2d_int(q_in, pw, bias, p, relu=relu, pool=pool)
+            assert np.array_equal(got.qdata, want), (relu, pool)
+            assert np.array_equal(got.qdata, _unfused(pointwise_conv2d_int(q_in, pw, bias, p), relu, pool).qdata)
+
+    # requantize_tensor on a rank-1 payload longer than a tile, and on an empty one
+    src = QuantParams(scale=0.3, zero_point=qmin + 1, bits=bits)
+    payload = rng.integers(qmin, qmax + 1, size=REQUANT_TILE + 5).astype(np.int32)
+    dst = QuantParams(scale=0.7, zero_point=qmax - 1, bits=bits)
+    got = requantize_tensor(QuantTensor(payload, src), dst)
+    assert np.array_equal(got.qdata, _requantize_formula(payload - float(src.zero_point), 0.3 / 0.7, dst))
+    empty = requantize_tensor(QuantTensor(np.zeros(0, dtype=np.int32), src), dst)
+    assert empty.shape == (0,) and empty.qdata.dtype == np.int32 and empty.params == dst
 
 
 def test_int_kernels_leave_operands_untouched():
@@ -338,6 +437,26 @@ def test_integer_kernels_deterministic_across_threads():
         results = list(pool.map(run, range(8)))
     for r in results:
         assert np.array_equal(r, serial)
+
+
+def test_requantize_tiles_are_private_to_each_call():
+    """Concurrent requantizations of different multi-tile accumulators, with
+    more threads than cores and a short switch interval: a tile buffer
+    shared between calls would mix their results."""
+    rng = np.random.default_rng(13)
+    p = QuantParams(scale=0.1, zero_point=-3, bits=8)
+    accs = [rng.integers(-5_000, 5_000, size=3 * REQUANT_TILE).astype(np.float32) for _ in range(8)]
+    wants = [_requantize_formula(a.astype(np.float64), 0.01, p) for a in accs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                futures = [pool.submit(_requantize, a, None, 0.01, p, p.qmin) for a in accs]
+                for f, want in zip(futures, wants):
+                    assert np.array_equal(f.result(timeout=60), want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pointwise_int_matches_sim():
