@@ -7,7 +7,7 @@
                      [--weights BLOB] --out BLOB
     tinymm infer     MODEL [--weights BLOB] --audio A.wav
                      (--audio2 B.wav | --image IMG.ppm)
-                     [--quantized ASSIGNMENT] [--out FILE]
+                     [--quantized ASSIGNMENT] [--parallel] [--out FILE]
     tinymm bench     MODEL [--weights BLOB] [--reps N]
                      [--quantized ASSIGNMENT] [--out FILE]
 

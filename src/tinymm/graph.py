@@ -16,14 +16,16 @@ removed from the graph.
 
 Inference runs either in float32 or fully quantized, through one walk of
 the topology (`_forward`: inputs, branch chains, concat, head) to which
-each mode supplies how an input enters, one per-layer step and how the
-branches join. In quantized mode every hidden tensor stays integer;
+each mode supplies how an input enters, one per-stage step and how the
+branches join. Both walks run the same stages (`_stages`): a weighted layer
+with the ReLU / max-pool / dropout layers right after it, or one other layer
+alone; a stage's output edge is named by its last layer. The integer step
+runs a weighted stage as one kernel with a fused epilogue, the float step
+one layer at a time. In quantized mode every hidden tensor stays integer;
 activations are requantized where two precisions meet (between layers of
 different widths and at the concat), and values are dequantized only at
-the softmax input. The integer walk runs each weighted layer together with
-the ReLU / max-pool / dropout layers directly after it, as its kernel's
-fused epilogue (`_epilogues`). Calibration is an observer on the float walk
-that records each edge's min/max. A quantized plan holds one record per
+the softmax input. Calibration is an observer on the float walk that
+records each edge's min/max. A quantized plan holds one record per
 weighted layer (`LayerPlan`), bound by one binder whether it is prepared
 from calibration or read from a blob; `check_assignment` alone decides
 which per-layer widths a plan may have.
@@ -76,7 +78,7 @@ ALL_KINDS = WEIGHTED_KINDS + (
     "batchnorm",
     "concat",
 )
-EPILOGUE_KINDS = ("relu", "maxpool", "dropout")  # fused into the weighted layer before them
+EPILOGUE_KINDS = ("relu", "maxpool", "dropout")  # join the stage of the weighted layer before them
 
 
 @dataclass
@@ -111,7 +113,8 @@ class ModelGraph:
 
     def __post_init__(self):
         self._by_name = {l.name: l for l in self.layers}
-        self._epilogues, self._absorbed = _epilogues(self)
+        self._stages = {chain[0]: _stages([self.layer(name) for name in chain[1:]])
+                        for chain in (*self.branch_chains, self.head_chain)}
 
     @property
     def weighted_layers(self) -> list[LayerSpec]:
@@ -122,34 +125,35 @@ class ModelGraph:
         return self.shapes[self.output_name][0]
 
 
-def _epilogues(graph: ModelGraph) -> tuple[dict[str, tuple[bool, K.PoolSpec | None]], frozenset[str]]:
-    """Each weighted layer's integer epilogue (relu, pool), taken from the
-    maximal run of EPILOGUE_KINDS layers directly after it in its chain, and
-    the names of the layers so absorbed.
+@dataclass(frozen=True)
+class Stage:
+    """The unit both walks run: a weighted layer with the ReLU / max-pool /
+    dropout run after it (`relu`, one composed `pool`), or one other layer.
+    Its output edge is named by its last layer."""
+
+    layers: tuple[LayerSpec, ...]
+    relu: bool = False
+    pool: K.PoolSpec | None = None
+
+
+def _stages(chain: list[LayerSpec]) -> tuple[Stage, ...]:
+    """A chain's stages: each weighted layer takes the maximal run of
+    EPILOGUE_KINDS layers directly after it; every other layer stands alone.
 
     Consecutive pools compose into one pool of their sizes' product: both
     drop the same remainder and take the max over the same windows.
     """
-    epilogues: dict[str, tuple[bool, K.PoolSpec | None]] = {}
-    absorbed = set()
-    for chain in (*graph.branch_chains, graph.head_chain):
-        owner = None
-        for name in chain:
-            layer = graph.layer(name)
-            if layer.kind in WEIGHTED_KINDS:
-                owner = name
-                epilogues[owner] = (False, None)
-            elif owner is not None and layer.kind in EPILOGUE_KINDS:
-                relu, pool = epilogues[owner]
-                if layer.kind == "relu":
-                    relu = True
-                elif layer.kind == "maxpool":
-                    pool = layer.pool if pool is None else K.PoolSpec(pool.pool_size * layer.pool.pool_size)
-                epilogues[owner] = (relu, pool)
-                absorbed.add(name)
-            else:
-                owner = None
-    return epilogues, frozenset(absorbed)
+    stages: list[Stage] = []
+    for layer in chain:
+        last = stages[-1] if stages else None
+        if last is None or last.layers[0].kind not in WEIGHTED_KINDS or layer.kind not in EPILOGUE_KINDS:
+            stages.append(Stage((layer,)))
+            continue
+        pool = last.pool
+        if layer.kind == "maxpool":
+            pool = layer.pool if pool is None else K.PoolSpec(pool.pool_size * layer.pool.pool_size)
+        stages[-1] = Stage(last.layers + (layer,), last.relu or layer.kind == "relu", pool)
+    return tuple(stages)
 
 
 # -- config parsing -----------------------------------------------------------
@@ -511,20 +515,20 @@ def _forward(graph: ModelGraph, pair: dict[str, Tensor], ctx, enter, step, join,
              parallel: bool = False, observe=None):
     """inputs -> branch chains -> concat -> head; returns the softmax output.
 
-    enter(name, tensor) gives a branch's first value, step(ctx, layer,
-    value, observe) runs one layer and join(a, b) is the concat. ctx (the
-    graph, or the graph and the plan) is passed to step rather than bound
-    into it, which saves a partial-object call per layer. observe(edge, value), when
-    given, sees every edge (step reports a ds layer's inner `<name>.dw`),
-    and the branches then run sequentially.
+    enter(name, tensor) gives a branch's first value, step(ctx, stage,
+    value, observe) runs one stage and join(a, b) is the concat. ctx (the
+    graph, or the plan) is passed to step rather than bound into it, which
+    saves a partial-object call per stage. observe(edge, value), when given,
+    sees each chain's first edge and each stage's output edge (step reports
+    the edges inside a stage), and the branches then run sequentially.
     """
     def walk(chain, value):
         if observe is not None:
             observe(chain[0], value)
-        for name in chain[1:]:
-            value = step(ctx, graph.layer(name), value, observe)
+        for stage in graph._stages[chain[0]]:
+            value = step(ctx, stage, value, observe)
             if observe is not None:
-                observe(name, value)
+                observe(stage.layers[-1].name, value)
         return value
 
     a, b = _map_branches(lambda c: walk(c, enter(c[0], pair[c[0]])),
@@ -532,7 +536,17 @@ def _forward(graph: ModelGraph, pair: dict[str, Tensor], ctx, enter, step, join,
     return walk(graph.head_chain, join(a, b))
 
 
-def _float_step(graph: ModelGraph, layer: LayerSpec, v: Tensor, see) -> Tensor:
+def _float_step(graph: ModelGraph, stage: Stage, v: Tensor, see) -> Tensor:
+    """A stage's layers one at a time; see also gets each edge inside it."""
+    *inner, last = stage.layers
+    for layer in inner:
+        v = _float_layer(graph, layer, v, see)
+        if see is not None:
+            see(layer.name, v)
+    return _float_layer(graph, last, v, see)
+
+
+def _float_layer(graph: ModelGraph, layer: LayerSpec, v: Tensor, see) -> Tensor:
     if layer.kind == "conv2d":
         w = graph.weights[layer.name]
         return K.conv2d_fp(v, w["w"], w["b"], layer.conv)
@@ -708,27 +722,23 @@ def prepare_quantized_plan(
     return plan
 
 
-def _int_step(ctx: tuple[ModelGraph, QuantizedPlan], layer: LayerSpec, q: QuantTensor, see):
-    """One layer of the integer walk. A weighted layer's kernel also runs its
-    epilogue, so the layers that epilogue absorbed pass their value on: their
-    edges carry the value after the whole run."""
-    graph, plan = ctx
+def _int_step(plan: QuantizedPlan, stage: Stage, q: QuantTensor, see):
+    """One stage of the integer walk: a weighted layer's kernel runs the
+    stage's ReLU and pool as its fused epilogue."""
+    layer = stage.layers[0]
     if layer.kind in WEIGHTED_KINDS:
         lp = plan.layers[layer.name]
         if q.params != lp.in_params:
             q = ik.requantize_tensor(q, lp.in_params)
         w = lp.weights
-        relu, pool = graph._epilogues[layer.name]
         if layer.kind == "conv2d":
-            return ik.conv2d_int(q, w["w"], lp.bias, lp.out_params, layer.conv, relu=relu, pool=pool)
+            return ik.conv2d_int(q, w["w"], lp.bias, lp.out_params, layer.conv, relu=stage.relu, pool=stage.pool)
         if layer.kind == "ds_conv2d":
             mid = ik.depthwise_conv2d_int(q, w["dw"], lp.mid_params, layer.conv)
             if see is not None:
                 see(f"{layer.name}.dw", mid)
-            return ik.pointwise_conv2d_int(mid, w["pw"], lp.bias, lp.out_params, relu=relu, pool=pool)
-        return ik.dense_int(q, w["w"], lp.bias, lp.out_params, relu=relu)
-    if layer.name in graph._absorbed:
-        return q
+            return ik.pointwise_conv2d_int(mid, w["pw"], lp.bias, lp.out_params, relu=stage.relu, pool=stage.pool)
+        return ik.dense_int(q, w["w"], lp.bias, lp.out_params, relu=stage.relu)
     if layer.kind == "maxpool":
         return ik.maxpool2d_int(q, layer.pool)
     if layer.kind == "relu":
@@ -747,6 +757,7 @@ def _run_quantized(
     plan: QuantizedPlan,
     pair: dict[str, Tensor],
     parallel: bool = False,
+    observe=None,
 ) -> Tensor:
     def enter(name: str, t: Tensor) -> QuantTensor:
         params = plan.input_params[name]
@@ -757,7 +768,7 @@ def _run_quantized(
         qb = ik.requantize_tensor(qb, plan.concat_params)
         return QuantTensor(np.concatenate([qa.qdata, qb.qdata]), plan.concat_params)
 
-    return _forward(graph, pair, (graph, plan), enter, _int_step, join, parallel)
+    return _forward(graph, pair, plan, enter, _int_step, join, parallel, observe)
 
 
 # -- public inference ----------------------------------------------------------

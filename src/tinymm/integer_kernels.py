@@ -90,7 +90,7 @@ def _contraction_dtype(terms: int, bits: int) -> type:
 def quantize_bias(bias: Tensor, input_scale: float, weight_scale: float) -> np.ndarray:
     """Bias as int32 at scale input_scale * weight_scale."""
     q = np.round(bias.data.astype(np.float64) / (input_scale * weight_scale))
-    return np.clip(q, -BIAS_LIMIT, BIAS_LIMIT).astype(np.int64)
+    return np.clip(q, -BIAS_LIMIT, BIAS_LIMIT).astype(np.int32)
 
 
 def _requantize(acc: np.ndarray, bias, multiplier: float, out: QuantParams, lo: int) -> np.ndarray:

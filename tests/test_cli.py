@@ -9,12 +9,13 @@ import pytest
 
 import tinymm
 
-from tinymm.audio import AudioClip, save_wav
+from tinymm.audio import AudioClip, load_wav, save_wav
 from tinymm.blob import read_blob, write_blob
 from tinymm.cli import main
 from tinymm.costs import model_size_bits
 from tinymm.graph import cost_report, sensitivity_table
-from tinymm.image import save_ppm
+from tinymm.errors import TinymmError
+from tinymm.image import load_ppm, save_ppm
 from tinymm.reference_models import build_reference, reference_config, reference_weight_records
 
 from model_fixtures import mutated_config, tiny_config, tiny_records, wide_config, wide_records
@@ -319,6 +320,30 @@ def test_infer_battlefield(tmp_path, media):
     doc = json.loads(out.read_text())
     assert len(doc["probs"]) == 4
     assert sum(doc["probs"]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_media_byte_mutations_fail_typed(tmp_path, media, capsys):
+    # 1-3 bytes set at random among the first 64, where the headers are: a
+    # loader raises only TinymmError, and infer exits 0 or 5, never raising
+    rng = np.random.default_rng(0)
+    wav, ppm = media / "bf_audio.wav", media / "bf_img.ppm"
+    for good, load, flag in ((wav, load_wav, "--audio"), (ppm, load_ppm, "--image")):
+        raw = good.read_bytes()
+        bad = tmp_path / f"bad{good.suffix}"
+        for i in range(300):
+            mutated = bytearray(raw)
+            for pos in rng.integers(0, 64, size=int(rng.integers(1, 4))):
+                mutated[pos] = int(rng.integers(0, 256))
+            bad.write_bytes(bytes(mutated))
+            try:
+                load(bad)
+            except TinymmError:
+                pass  # any other exception type fails the test
+            if i % 12 == 0:
+                files = {"--audio": wav, "--image": ppm, flag: bad}
+                argv = ["infer", "battlefield"] + [str(a) for kv in files.items() for a in kv]
+                assert main(argv) in (0, 5)
+    capsys.readouterr()
 
 
 def test_infer_wrong_sample_rate_exit_5(tmp_path, media, capsys):

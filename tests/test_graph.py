@@ -25,6 +25,8 @@ from tinymm.graph import (
     _expected_records,
     _infer_shapes,
     _parse_layer,
+    _run_float,
+    _run_quantized,
     assemble_model,
     calibrate,
     cost_report,
@@ -534,6 +536,38 @@ def test_fused_integer_walk_matches_step_by_step(model, mixed, monkeypatch):
             assert np.array_equal(got.data, want)
     # only the fusion model's ReLU after a flatten runs on its own, once per infer
     assert calls == (["relu_int"] * 6 if model == "fusion" else [])
+
+
+def test_fusion_model_stages():
+    # a weighted layer takes the relu / maxpool / dropout run after it, its
+    # pools composed into one; every other layer is a stage of its own
+    stages = {first: [("+".join(l.name for l in s.layers), s.relu, s.pool and s.pool.pool_size) for s in chain]
+              for first, chain in _fusion_model()._stages.items()}
+    assert stages == {
+        "a_in": [("a_conv+a_relu+a_drop+a_pool", True, 2),
+                 ("a_flat", False, None), ("a_frelu", False, None), ("a_fc", False, None)],
+        "b_in": [("b_sep+b_pool+b_relu+b_pool2", True, 4), ("b_flat", False, None), ("b_fc", False, None)],
+        "join": [("h_fc+h_relu+h_drop", True, None), ("h_out", False, None), ("probs", False, None)],
+    }
+
+
+@pytest.mark.parametrize("model", ["covid", "battlefield", "fusion"])
+def test_integer_walk_edges_are_float_edges(model):
+    # the integer walk reports the inputs, the concat, each stage's output
+    # edge and each ds layer's depthwise edge, once each, and every one of
+    # them holds a tensor of the shape the float edge of that name holds
+    graph = _fusion_model() if model == "fusion" else build_reference(model)
+    pair = _rand_inputs(graph, np.random.default_rng(19))
+    plan = prepare_quantized_plan(graph, {l.name: 8 for l in graph.weighted_layers}, calibrate(graph, [pair]))
+    float_shapes, int_shapes = {}, []
+    _run_float(graph, pair, observe=lambda edge, v: float_shapes.setdefault(edge, v.shape))
+    _run_quantized(graph, plan, pair, observe=lambda edge, v: int_shapes.append((edge, v.shape)))
+    want = {*graph.input_names, graph.concat_name}
+    want |= {stage.layers[-1].name for chain in graph._stages.values() for stage in chain}
+    want |= {f"{l.name}.dw" for l in graph.layers if l.kind == "ds_conv2d"}
+    edges = [edge for edge, _ in int_shapes]
+    assert len(edges) == len(set(edges)) and set(edges) == want
+    assert all(float_shapes[edge] == shape for edge, shape in int_shapes)
 
 
 def test_float_vs_int8_argmax_agreement():

@@ -170,6 +170,7 @@ def test_dense_int_matches_sim(bits):
             Tensor(rng.normal(scale=0.1, size=l).astype(np.float32)),
             q_in.params.scale, q_w.params.scale,
         )
+        assert bias.dtype == np.int32
         out_params = _affine_from(rng.normal(scale=2, size=16), bits)
         got = dense_int(q_in, q_w, bias, out_params)
         want = oracles.dense_int_sim(q_in.qdata, q_in.params, q_w.qdata, q_w.params.scale, bias, out_params)
